@@ -16,6 +16,13 @@ cargo fmt --check
 echo "== build (release) =="
 cargo build --release --offline
 
+echo "== perfbench build + stats tests (a workspace of its own) =="
+# perfbench links every backend type through path dependencies but sits
+# outside the root workspace, so the build above never compiles it.
+# Build it here, and run its Python statistics tests. See perfbench/README.md.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "== test suite =="
 cargo test -q --offline
 

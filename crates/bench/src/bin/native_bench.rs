@@ -13,8 +13,8 @@
 //!   empty mailbox (park/wake round-trips dominate).
 //! - **fanin** — `try_recv` polling over many tags + `wait_for_mail`
 //!   parking; probe misses and wake-up churn.
-//! - **coll** — barrier/allreduce/allgatherv rounds; gather-all versus
-//!   binomial-tree topology is exactly what this times.
+//! - **coll** — barrier/allreduce/allgatherv rounds over the collective
+//!   overlay (a flat star up to 64 ranks, a binomial tree above).
 //! - **stream** — the full mpistream protocol (credits, aggregation,
 //!   RoundRobin) end to end, with a batched credit return path.
 //! - **agg_incast** — the incast reduction routed through the fan-in-k
@@ -109,54 +109,6 @@ fn fanin(producers: usize, per_producer: u64, tags: u32) -> Metrics {
 
 fn coll(ranks: usize, iters: u64) -> Metrics {
     measure(sc::coll_shape(ranks, iters), move |rank| sc::coll_rank(rank, iters))
-}
-
-/// Time the coll scenario with the flat/tree threshold pinned (0 forces
-/// binomial trees everywhere, `usize::MAX` forces the flat star).
-fn coll_threshold(ranks: usize, iters: u64, threshold: usize) -> Metrics {
-    let shape = sc::coll_shape(ranks, iters);
-    let t0 = Instant::now();
-    NativeWorld::new(shape.nprocs)
-        .with_coll_flat_threshold(threshold)
-        .run(move |rank| sc::coll_rank(rank, iters));
-    Metrics { wall_secs: t0.elapsed().as_secs_f64(), msgs: shape.msgs, elems: shape.elems }
-}
-
-/// `--coll-sweep`: both collective geometries across group sizes — the
-/// measurement behind the default flat threshold (DESIGN.md §13). Both
-/// geometries send the same 2(size-1) messages per op; what differs is
-/// the critical path (star: one hub; tree: log2(size) levels of context
-/// switches), so wall time is the whole story. Returns the measured rows
-/// `(ranks, flat_ms, tree_ms)` plus the recommended flat threshold — the
-/// largest swept size at which the star is still at least as fast as the
-/// binomial tree — so the artifact can record the tuning, not just the
-/// raw table.
-fn coll_sweep(iters: u64) -> (Vec<(usize, f64, f64)>, usize) {
-    println!("coll geometry sweep: {iters} barrier+allreduce+allgatherv rounds per cell");
-    println!("  ranks   flat ms   tree ms   flat/tree");
-    let mut rows = Vec::new();
-    for &ranks in &[2usize, 4, 8, 16, 32, 64] {
-        let flat = coll_threshold(ranks, iters, usize::MAX);
-        let tree = coll_threshold(ranks, iters, 0);
-        println!(
-            "  {ranks:>5} {:>9.1} {:>9.1} {:>10.2}",
-            flat.wall_secs * 1e3,
-            tree.wall_secs * 1e3,
-            flat.wall_secs / tree.wall_secs
-        );
-        rows.push((ranks, flat.wall_secs * 1e3, tree.wall_secs * 1e3));
-    }
-    // Recommend the largest size at which the star still wins; a single
-    // noisy cell (tiny groups are spawn-dominated) must not truncate the
-    // walk, so take the max rather than stopping at the first tree win.
-    let recommended = rows
-        .iter()
-        .filter(|&&(_, flat_ms, tree_ms)| flat_ms <= tree_ms)
-        .map(|&(ranks, _, _)| ranks)
-        .max()
-        .unwrap_or_else(|| rows.first().map_or(2, |r| r.0));
-    println!("  recommended NATIVE_COLL_FLAT_THRESHOLD={recommended}");
-    (rows, recommended)
 }
 
 /// The incast reduction through the tree-aggregation operators: 64 KiB
@@ -326,13 +278,11 @@ fn main() {
     let mut pre_path: Option<std::path::PathBuf> = None;
     let mut audit_path: Option<std::path::PathBuf> = None;
     let mut notes: Option<String> = None;
-    let mut sweep = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--check" => check = true,
-            "--coll-sweep" => sweep = true,
             "--out" => out_path = Some(args.next().expect("--out needs a path").into()),
             "--baseline" => {
                 baseline_path = Some(args.next().expect("--baseline needs a path").into())
@@ -342,47 +292,12 @@ fn main() {
             "--notes" => notes = Some(args.next().expect("--notes needs a string")),
             other => {
                 eprintln!(
-                    "unknown flag {other} (expected --quick/--check/--coll-sweep/--out <p>\
+                    "unknown flag {other} (expected --quick/--check/--out <p>\
                      /--baseline <p>/--pre <p>/--audit <p>/--notes <s>)"
                 );
                 std::process::exit(2);
             }
         }
-    }
-    if sweep {
-        let (rows, recommended) = coll_sweep(if quick { 50 } else { 200 });
-        // Auto-emit the tuning result into the artifact notes so the
-        // committed capture records the recommendation, not just a table
-        // scrolled off a terminal.
-        let auto = format!("recommended NATIVE_COLL_FLAT_THRESHOLD={recommended}");
-        let note = match &notes {
-            Some(n) => format!("{n}; {auto}"),
-            None => auto,
-        };
-        let out_path = out_path.unwrap_or_else(|| results_dir().join("BENCH_coll_sweep.json"));
-        let mut json = String::new();
-        json.push_str("{\n  \"schema\": \"native_bench_coll_sweep/v1\",\n");
-        json.push_str(&format!(
-            "  \"notes\": \"{}\",\n",
-            note.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-        json.push_str(&format!("  \"recommended_flat_threshold\": {recommended},\n"));
-        json.push_str("  \"rows\": [\n");
-        for (i, (ranks, flat_ms, tree_ms)) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    {{\"ranks\": {ranks}, \"flat_ms\": {flat_ms:.3}, \"tree_ms\": {tree_ms:.3}}}{sep}\n"
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write(&out_path, &json) {
-            Ok(()) => println!("wrote {}", out_path.display()),
-            Err(e) => {
-                eprintln!("could not write {}: {e}", out_path.display());
-                std::process::exit(1);
-            }
-        }
-        return;
     }
     if let Some(ap) = &audit_path {
         let artifact = match std::fs::read_to_string(ap) {

@@ -12,10 +12,14 @@
 //!   programs inside the deterministic discrete-event simulator, on a
 //!   virtual clock with a modelled network.
 //! - `native::NativeRank` (the `crates/native` backend) runs the same
-//!   programs on real OS threads with lock-and-condvar mailboxes, on the
-//!   wall clock.
+//!   programs on real OS threads, on the wall clock, each rank matching
+//!   in a lock-free MPSC mailbox.
+//! - `socket::SocketRank` (the `crates/socket` backend) runs them with
+//!   one OS process per rank, every payload crossing the `Wire` codec
+//!   over Unix-domain sockets into the same mailbox. Both are one
+//!   runtime, `native::MailboxRank`, over a different link.
 //!
-//! The trait deliberately exposes the *semantics* both backends share and
+//! The trait deliberately exposes the *semantics* all backends share and
 //! nothing either is forced to fake: time is a monotone [`SimTime`] whose
 //! meaning (virtual vs wall nanoseconds) belongs to the backend;
 //! [`Transport::send`] returns once the message is injected (delivery is

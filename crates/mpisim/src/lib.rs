@@ -33,7 +33,6 @@
 pub mod cart;
 pub mod check;
 pub mod coll;
-pub mod coll_ext;
 pub mod comm;
 pub mod config;
 pub mod msg;

@@ -583,15 +583,6 @@ impl<'c> Rank<'c> {
         out
     }
 
-    /// Non-blocking attempt to complete a receive request (for
-    /// [`Rank::waitany`]-style combinators).
-    pub(crate) fn try_recv_req<T: Send + 'static>(
-        &mut self,
-        req: &RecvReq,
-    ) -> Option<(T, MsgInfo)> {
-        self.try_recv_tagged(req.src, req.tag)
-    }
-
     /// Suspend until this rank's mailbox changes — a new message arrives
     /// or an in-flight one becomes available. May wake spuriously; callers
     /// re-check their condition. The building block for multiplexing over

@@ -312,14 +312,16 @@ fn credit_before_quorum_ack_is_caught_as_a_race() {
 // ---------------------------------------------------------------------
 
 /// A whole `NativeWorld` under the model: three ranks allreduce over the
-/// binomial tree (flat threshold forced to 0), exercising scoped rank
-/// threads, collective tagging, directed receives and the park protocol
-/// together. The state space is huge; the bounded search explores a
-/// capped sample and must find nothing.
+/// default overlay, exercising scoped rank threads, collective tagging,
+/// directed receives and the park protocol together. At 3 ranks the
+/// star the default path picks and the binomial tree have the same
+/// edges (root 0 with children 1 and 2, no interior node), so this is
+/// the tree's message pattern too. The state space is huge; the bounded
+/// search explores a capped sample and must find nothing.
 #[test]
 fn small_tree_collective_is_clean() {
     let out = checker(2_000).model(|| {
-        NativeWorld::new(3).with_coll_flat_threshold(0).run(|rank| {
+        NativeWorld::new(3).run(|rank| {
             let world = rank.world_group();
             let sum = rank.allreduce(&world, 8, rank.world_rank() as u64 + 1, |a, b| *a += b);
             assert_eq!(sum, 6);

@@ -8,8 +8,10 @@
 //! [`Wire`] codec (DESIGN.md §16), matching happens in the exact same
 //! [`Mailbox`] the native backend uses (lock-free MPSC staging +
 //! eventcount park, so the schedcheck models of that structure still
-//! apply), and collectives are genuine network rendezvous over the
-//! binomial-tree overlays from the native backend.
+//! apply), and the rank is the native crate's shared [`MailboxRank`]
+//! runtime — [`SocketRank`] is `MailboxRank<SocketLink>` — so
+//! collectives are genuine network rendezvous over the same overlays as
+//! on native threads: a flat star up to 64 ranks, a binomial tree above.
 //!
 //! ## Topology
 //!
@@ -39,7 +41,7 @@
 
 pub mod frame;
 
-use std::collections::HashMap;
+use std::any::Any;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -48,17 +50,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use desim::SimTime;
-use mpistream::{Group, MsgInfo, Src, Tag, Transport, Wire};
+use mpistream::{MsgInfo, Tag, Wire};
 use native::mailbox::{Env, Mailbox};
 use native::sync::Instant;
-
-/// Group id of the world group (matches the native backend).
-const WORLD_ID: u64 = 0;
-/// Group id marking metadata-only groups (never collective targets).
-const META_ID: u64 = u64::MAX;
-/// Internal tag namespace for collective traffic (streams use ns 2).
-const NS_COLL: u8 = 3;
+use native::{Link, MailboxGroup, MailboxRank};
 
 /// Launch-handshake environment variables.
 const ENV_KEY: &str = "MPISTREAM_SOCKET_KEY";
@@ -76,59 +71,9 @@ const CTL_ALL_DONE: u8 = 0x44;
 const CTL_TIMEOUT: Duration = Duration::from_secs(120);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// An ordered set of world ranks on the socket backend. Same shape as
-/// the native group; the id keys the collective tag namespace and — for
-/// split products — is *derived*, not registered: every member hashes
-/// the same `(parent, seq, color)` triple to the same 64-bit id, so no
-/// cross-process registry is needed.
-#[derive(Clone, Debug)]
-pub struct SocketGroup {
-    id: u64,
-    ranks: Arc<Vec<usize>>,
-}
-
-impl Group for SocketGroup {
-    fn ranks(&self) -> &[usize] {
-        &self.ranks
-    }
-
-    fn rank_of(&self, w: usize) -> Option<usize> {
-        self.ranks.iter().position(|&x| x == w)
-    }
-
-    fn meta(ranks: Vec<usize>) -> SocketGroup {
-        SocketGroup { id: META_ID, ranks: Arc::new(ranks) }
-    }
-}
-
-/// Deterministic split-cell id: every member of one cell computes the
-/// same key locally, replacing the native backend's shared-memory
-/// registry. splitmix64 finalization over the triple; the reserved
-/// world/meta ids are remapped.
-fn split_id(parent: u64, seq: u32, color: i64) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let h =
-        mix(mix(mix(parent.wrapping_add(0x9E37_79B9_7F4A_7C15)) ^ u64::from(seq)) ^ color as u64);
-    match h {
-        WORLD_ID => 1,
-        META_ID => META_ID - 1,
-        other => other,
-    }
-}
-
-/// Tag for collective `seq` on the group with `id`. The id is folded
-/// into both the 16-bit channel field and the sequence field: hashed
-/// split ids can alias in the low 16 bits, and mixing the high bits
-/// into `seq` keeps concurrently outstanding collectives of two such
-/// groups on distinct tags (within one group, call order still makes
-/// `seq` unique — the MPI contract).
-fn coll_tag(id: u64, seq: u32) -> Tag {
-    Tag::internal(NS_COLL, id as u16, seq.wrapping_add((id >> 16) as u32))
-}
+/// One socket rank: the per-process handle [`SocketWorld::run`] passes
+/// to the body.
+pub type SocketRank = MailboxRank<SocketLink>;
 
 /// A socket world: `nprocs` ranks, each its own OS process.
 pub struct SocketWorld {
@@ -362,20 +307,18 @@ impl SocketWorld {
             std::thread::spawn(move || acceptor_loop(listener, mailbox, tolerant));
         }
 
-        let mut sr = SocketRank {
+        let link = SocketLink {
             rank,
-            nprocs,
-            epoch: Instant::now(),
-            compute_scale,
             dir,
-            mailbox,
+            mailbox: Arc::clone(&mailbox),
             links: (0..nprocs).map(|_| None).collect(),
-            coll_seq: HashMap::new(),
-            mail_seen: 0,
             next_channel: 0,
+            nprocs,
             tolerant: self.tolerant,
             dead: vec![false; nprocs],
         };
+        let world = MailboxGroup::world(nprocs);
+        let mut sr = MailboxRank::new(rank, world, Instant::now(), compute_scale, mailbox, link);
         let result = body(&mut sr);
         frame::write_blob(&mut ctl, &result.to_frame()).expect("ship result");
         let mut done = [0u8; 1];
@@ -501,29 +444,22 @@ pub fn reader_loop(mut stream: UnixStream, src: usize, mailbox: &Mailbox, tolera
     }
 }
 
-/// One socket rank: the per-process handle [`SocketWorld::run`] passes
-/// to the body. Implements [`Transport`], so the whole stream runtime —
-/// channels, streams, combiners, `run_decoupled` — works against it.
-pub struct SocketRank {
+/// The socket [`Link`]: sends cross the [`Wire`] codec and a framed
+/// Unix-socket write (the peer's reader thread pushes the frame into its
+/// mailbox); receives decode the frame back.
+pub struct SocketLink {
     rank: usize,
-    nprocs: usize,
-    epoch: Instant,
-    compute_scale: f64,
     dir: PathBuf,
+    /// This rank's own mailbox, for self-sends.
     mailbox: Arc<Mailbox>,
     /// Outbound links, connected on first use (always succeeds: every
     /// listener was bound before GO).
     links: Vec<Option<UnixStream>>,
-    /// Per-group collective sequence numbers (identical call order on a
-    /// group keeps them in agreement, as MPI requires).
-    coll_seq: HashMap<u64, u32>,
-    /// Mailbox version at the last `wait_for_mail` return (see the
-    /// native backend for the polling-round protocol).
-    mail_seen: u64,
     /// Per-process channel counter; world-unique ids without shared
     /// memory: `counter * nprocs + rank` gives each rank a disjoint
     /// arithmetic progression.
     next_channel: u32,
+    nprocs: usize,
     /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
     tolerant: bool,
     /// Peers observed dead (tolerant mode only): once a connect or a
@@ -532,7 +468,7 @@ pub struct SocketRank {
     dead: Vec<bool>,
 }
 
-impl SocketRank {
+impl SocketLink {
     /// Connect-on-first-use outbound link; `None` means `dst` is dead
     /// (only possible in death-tolerant mode — strict worlds panic).
     fn link(&mut self, dst: usize) -> Option<&mut UnixStream> {
@@ -568,135 +504,18 @@ impl SocketRank {
         }
         self.links[dst].as_mut()
     }
-
-    fn next_seq(&mut self, group: &SocketGroup) -> u32 {
-        assert!(group.id != META_ID, "collective on a metadata-only group");
-        let seq = self.coll_seq.entry(group.id).or_insert(0);
-        let s = *seq;
-        *seq += 1;
-        s
-    }
-
-    fn my_group_rank(&self, group: &SocketGroup) -> usize {
-        group.rank_of(self.rank).expect("collective on a group we are not in")
-    }
-
-    /// Reduce up to virtual rank 0 over the binomial tree (children
-    /// ascending — the deterministic fold order); `Some(total)` at the
-    /// root, `None` elsewhere. For floats the tree-shaped fold order may
-    /// differ bitwise from another backend's (DESIGN.md §11), and across
-    /// processes there is no shared memory to paper over it.
-    fn tree_reduce<T: Wire + Send + 'static>(
-        &mut self,
-        tree: &Overlay<'_>,
-        bytes: u64,
-        value: T,
-        op: &impl Fn(&mut T, &T),
-    ) -> Option<T> {
-        let mut acc = value;
-        for c in tree.children(tree.my_v) {
-            let (child, _info) = self.recv::<T>(Src::Rank((tree.to_world)(c)), tree.tag);
-            op(&mut acc, &child);
-        }
-        if tree.my_v == 0 {
-            Some(acc)
-        } else {
-            self.send((tree.to_world)(Overlay::parent(tree.my_v)), tree.tag, bytes, acc);
-            None
-        }
-    }
-
-    /// Broadcast down from virtual rank 0. Safe on the same tag as a
-    /// preceding reduce over the same overlay: between any rank pair the
-    /// two phases flow in opposite directions, so directed receives
-    /// cannot cross-match.
-    fn tree_bcast<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        tree: &Overlay<'_>,
-        bytes: u64,
-        value: Option<T>,
-    ) -> T {
-        let val = if tree.my_v == 0 {
-            value.expect("tree root supplies the broadcast value")
-        } else {
-            self.recv::<T>(Src::Rank((tree.to_world)(Overlay::parent(tree.my_v))), tree.tag).0
-        };
-        for c in tree.children(tree.my_v) {
-            self.send((tree.to_world)(c), tree.tag, bytes, val.clone());
-        }
-        val
-    }
-
-    fn deadline_instant(&self, deadline: SimTime) -> Instant {
-        self.epoch + Duration::from_nanos(deadline.0)
-    }
 }
 
-/// One collective's geometry: always the binomial tree here — there is
-/// no shared-memory star shortcut worth taking when every hop is a real
-/// socket write, and `O(log n)` hops is the shape the paper's
-/// aggregation analysis assumes.
-struct Overlay<'a> {
-    tag: Tag,
-    to_world: &'a dyn Fn(usize) -> usize,
-    my_v: usize,
-    size: usize,
-}
-
-impl Overlay<'_> {
-    /// Children of virtual rank `v`, ascending: `v + 2^k` for every
-    /// `2^k` below `v`'s lowest set bit that stays inside the group.
-    fn children(&self, v: usize) -> Vec<usize> {
-        let size = self.size;
-        let lsb = if v == 0 { usize::MAX } else { v & v.wrapping_neg() };
-        std::iter::successors(Some(1usize), |k| k.checked_mul(2))
-            .take_while(move |&k| k < lsb && v + k < size)
-            .map(move |k| v + k)
-            .collect()
-    }
-
-    /// Parent of virtual rank `v != 0`: clear the lowest set bit.
-    fn parent(v: usize) -> usize {
-        v & (v - 1)
-    }
-}
-
-impl Transport for SocketRank {
-    type Group = SocketGroup;
-
-    fn world_rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.nprocs
-    }
-
-    fn world_group(&self) -> SocketGroup {
-        SocketGroup { id: WORLD_ID, ranks: Arc::new((0..self.nprocs).collect()) }
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
-
-    fn compute(&mut self, secs: f64) {
-        let scaled = secs * self.compute_scale;
-        if scaled.is_finite() && scaled > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(scaled));
-        }
-    }
-
-    fn send<T: Wire + Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
-        assert!(dst < self.nprocs, "send to out-of-range rank {dst}");
+impl Link for SocketLink {
+    fn deliver<T: Wire + Send + 'static>(&mut self, dst: usize, info: MsgInfo, value: T) {
+        let MsgInfo { src, tag, bytes } = info;
         let payload = value.to_frame();
-        if dst == self.rank {
+        if dst == src {
             // Self-sends still cross the codec — one uniform path, so a
             // payload that cannot round-trip fails loudly everywhere.
-            self.mailbox.push(Env { src: self.rank, tag, bytes, payload: Box::new(payload) });
+            self.mailbox.push(Env { src, tag, bytes, payload: Box::new(payload) });
             return;
         }
-        let me = self.rank;
         let Some(link) = self.link(dst) else {
             return; // tolerant mode: dst is dead, the send is dropped
         };
@@ -705,137 +524,27 @@ impl Transport for SocketRank {
                 self.links[dst] = None;
                 self.dead[dst] = true;
             } else {
-                panic!("rank {me}: send to rank {dst}: {e}");
+                panic!("rank {src}: send to rank {dst}: {e}");
             }
         }
     }
 
-    fn recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
-        let env = self.mailbox.take(src, tag);
-        unpack(self.rank, env)
-    }
-
-    fn try_recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
-        let env = self.mailbox.try_take(src, tag)?;
-        Some(unpack(self.rank, env))
-    }
-
-    fn recv_deadline<T: Wire + Send + 'static>(
-        &mut self,
-        src: Src,
-        tag: Tag,
-        deadline: SimTime,
-    ) -> Option<(T, MsgInfo)> {
-        let until = self.deadline_instant(deadline);
-        let env = self.mailbox.take_deadline(src, tag, until)?;
-        Some(unpack(self.rank, env))
-    }
-
-    fn probe(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {
-        self.mailbox.probe(src, tag)
-    }
-
-    fn wait_for_mail(&mut self) {
-        self.mail_seen = self.mailbox.wait_change(self.mail_seen);
-    }
-
-    fn barrier(&mut self, group: &SocketGroup) {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        let tree = Overlay { tag, to_world: &to_world, my_v: my_gr, size };
-        let done = self.tree_reduce(&tree, 1, (), &|_, _| {});
-        let () = self.tree_bcast(&tree, 1, done);
-    }
-
-    fn allreduce<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        group: &SocketGroup,
-        bytes: u64,
-        value: T,
-        op: impl Fn(&mut T, &T),
+    fn open<T: Wire + Send + 'static>(
+        rank: usize,
+        info: MsgInfo,
+        payload: Box<dyn Any + Send>,
     ) -> T {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        let tree = Overlay { tag, to_world: &to_world, my_v: my_gr, size };
-        let total = self.tree_reduce(&tree, bytes, value, &op);
-        self.tree_bcast(&tree, bytes, total)
-    }
-
-    fn allgatherv<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        group: &SocketGroup,
-        bytes: u64,
-        value: T,
-    ) -> Vec<T> {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        let tree = Overlay { tag, to_world: &to_world, my_v: my_gr, size };
-        // Child `v + 2^k` owns the contiguous group-rank range
-        // [v + 2^k, v + 2^(k+1)) clipped to size, so appending children
-        // ascending keeps the accumulator group-rank-ordered.
-        let mut acc: Vec<T> = vec![value];
-        for c in tree.children(my_gr) {
-            let (mut sub, _info) = self.recv::<Vec<T>>(Src::Rank((tree.to_world)(c)), tag);
-            acc.append(&mut sub);
-        }
-        let gathered = if my_gr == 0 {
-            Some(acc)
-        } else {
-            let n = acc.len() as u64;
-            self.send((tree.to_world)(Overlay::parent(my_gr)), tag, bytes * n, acc);
-            None
-        };
-        self.tree_bcast(&tree, bytes * size as u64, gathered)
-    }
-
-    fn bcast<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        group: &SocketGroup,
-        root: usize,
-        bytes: u64,
-        value: Option<T>,
-    ) -> T {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        assert!(root < size, "bcast root {root} out of range for group of {size}");
-        // Rotate the overlay so the root sits at virtual rank 0.
-        let my_v = (my_gr + size - root) % size;
-        let to_world = move |v: usize| ranks[(v + root) % size];
-        if my_v == 0 {
-            assert!(value.is_some(), "root supplied the broadcast value");
-        }
-        let tree = Overlay { tag, to_world: &to_world, my_v, size };
-        self.tree_bcast(&tree, bytes, value)
-    }
-
-    fn split(&mut self, group: &SocketGroup, color: Option<i64>, key: i64) -> Option<SocketGroup> {
-        // Gather the Option itself — no sentinel, so every i64 is a
-        // legal color, distinct from non-participation.
-        let mut entries = self.allgatherv(group, 24, (color, key, self.rank));
-        let seq = self.coll_seq[&group.id] - 1; // the allgatherv's seq
-        let my_color = color?;
-        entries.retain(|&(c, _, _)| c == Some(my_color));
-        entries.sort_unstable_by_key(|&(_, k, w)| (k, w));
-        let members: Vec<usize> = entries.iter().map(|&(_, _, w)| w).collect();
-        // Every member of the cell hashes the same triple — agreement
-        // without the native backend's shared registry.
-        let id = split_id(group.id, seq, my_color);
-        Some(SocketGroup { id, ranks: Arc::new(members) })
+        let buf = payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
+            panic!("rank {rank}: non-frame payload in a socket mailbox (tag {:?})", info.tag)
+        });
+        T::from_frame(&buf).unwrap_or_else(|e| {
+            panic!(
+                "rank {rank}: malformed {} frame from rank {} under tag {:?}: {e}",
+                std::any::type_name::<T>(),
+                info.src,
+                info.tag
+            )
+        })
     }
 
     fn alloc_channel_id(&mut self) -> u16 {
@@ -845,45 +554,10 @@ impl Transport for SocketRank {
     }
 }
 
-fn unpack<T: Wire>(rank: usize, env: Env) -> (T, MsgInfo) {
-    let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
-    let buf = env.payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
-        panic!("rank {rank}: non-frame payload in a socket mailbox (tag {:?})", env.tag)
-    });
-    match T::from_frame(&buf) {
-        Ok(v) => (v, info),
-        Err(e) => panic!(
-            "rank {rank}: malformed {} frame from rank {} under tag {:?}: {e}",
-            std::any::type_name::<T>(),
-            info.src,
-            env.tag
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_ids_dodge_the_reserved_values() {
-        assert_ne!(split_id(0, 0, 0), WORLD_ID);
-        assert_ne!(split_id(0, 0, 0), META_ID);
-        // Distinct cells of one split get distinct ids.
-        assert_ne!(split_id(0, 3, 0), split_id(0, 3, 1));
-    }
-
-    #[test]
-    fn overlay_matches_the_binomial_recurrence() {
-        let noop = |v: usize| v;
-        let t = Overlay { tag: Tag::user(0), to_world: &noop, my_v: 0, size: 6 };
-        assert_eq!(t.children(0), vec![1, 2, 4]);
-        assert_eq!(t.children(2), vec![3]);
-        assert_eq!(t.children(4), vec![5]);
-        assert_eq!(Overlay::parent(5), 4);
-        assert_eq!(Overlay::parent(3), 2);
-        assert_eq!(Overlay::parent(1), 0);
-    }
+    use mpistream::{Src, Transport};
 
     // Real multi-process smokes: each spawns its world as child
     // processes re-running this exact test under --exact. One
