@@ -16,11 +16,14 @@ cargo fmt --check
 echo "== build (release) =="
 cargo build --release --offline
 
-echo "== perfbench build + stats tests (a workspace of its own) =="
+echo "== perfbench build + tests (a workspace of its own) =="
 # perfbench links every backend type through path dependencies but sits
 # outside the root workspace, so the build above never compiles it.
-# Build it here, and run its Python statistics tests. See perfbench/README.md.
+# Build it here, and run its Rust tests (tracer, frame write-call count,
+# wire byte count, mailbox handoff) and its Python statistics tests.
+# See perfbench/README.md.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "== test suite =="

@@ -77,6 +77,11 @@ pub fn write_frame(w: &mut impl Write, tag: u64, bytes: u64, payload: &[u8]) -> 
 /// Read one frame. `Ok(None)` is a clean end-of-stream (EOF exactly at a
 /// frame boundary); EOF anywhere inside a frame is an error, as is a
 /// length prefix below the header size or above [`MAX_FRAME_BYTES`].
+///
+/// The header lands in a stack array and the payload straight in an
+/// exactly sized `Vec`, so each payload byte is copied out of `r` once.
+/// Callers reading a socket wrap it in a `BufReader`: a whole small frame
+/// (often several) then costs one `read(2)`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
     let mut len4 = [0u8; 4];
     // Distinguish boundary-EOF from mid-frame truncation: only a zero
@@ -98,11 +103,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, u64, Vec<u8>)>> 
             "frame length {len} outside [{HEADER_BYTES}, {MAX_FRAME_BYTES}]"
         )));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    let tag = u64::from_le_bytes(buf[0..8].try_into().expect("exact slice"));
-    let bytes = u64::from_le_bytes(buf[8..16].try_into().expect("exact slice"));
-    let payload = buf.split_off(HEADER_BYTES);
+    let mut head = [0u8; HEADER_BYTES];
+    r.read_exact(&mut head)?;
+    let tag = u64::from_le_bytes(head[0..8].try_into().expect("exact slice"));
+    let bytes = u64::from_le_bytes(head[8..16].try_into().expect("exact slice"));
+    let mut payload = vec![0u8; len - HEADER_BYTES];
+    r.read_exact(&mut payload)?;
     Ok(Some((tag, bytes, payload)))
 }
 
@@ -131,6 +137,7 @@ pub fn read_blob(r: &mut impl Read) -> io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
 
     #[test]
     fn frame_round_trips_through_a_buffer() {
@@ -168,5 +175,75 @@ mod tests {
         write_preamble(&mut buf2, 1).unwrap();
         buf2[4] = VERSION + 1;
         assert!(read_preamble(&mut &buf2[..]).is_err());
+    }
+
+    /// A reader that hands out at most one byte per `read` call.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (buf.first_mut(), self.0.split_first()) {
+                (Some(dst), Some((b, rest))) => {
+                    *dst = *b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    type Frame = (u64, u64, Vec<u8>);
+
+    fn sample_frames() -> (Vec<u8>, Vec<Frame>) {
+        let frames = vec![(1, 8, vec![7; 5]), (2, 0, vec![]), (u64::MAX, 4096, vec![0xEE; 3000])];
+        let mut buf = Vec::new();
+        for (tag, bytes, payload) in &frames {
+            write_frame(&mut buf, *tag, *bytes, payload).unwrap();
+        }
+        (buf, frames)
+    }
+
+    fn read_all(mut r: impl Read, frames: &[Frame]) {
+        for want in frames {
+            assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(want));
+        }
+        assert_eq!(read_frame(&mut r).unwrap(), None); // clean EOF at a frame boundary
+    }
+
+    #[test]
+    fn frames_survive_one_byte_reads() {
+        let (buf, frames) = sample_frames();
+        read_all(OneByte(&buf), &frames);
+    }
+
+    #[test]
+    fn one_buf_reader_carries_several_frames() {
+        let (buf, frames) = sample_frames();
+        // 7 bytes splits every prefix, header and payload across refills;
+        // the default capacity holds all three frames after one read.
+        for cap in [7, 8192] {
+            read_all(BufReader::with_capacity(cap, &buf[..]), &frames);
+        }
+        assert_eq!(read_frame(&mut BufReader::new(&[][..])).unwrap(), None);
+    }
+
+    #[test]
+    fn eof_inside_a_frame_is_an_error_through_any_reader() {
+        let mut whole = Vec::new();
+        write_frame(&mut whole, 3, 8, &[9; 10]).unwrap();
+        let read_cut = |mut r: Box<dyn Read + '_>, cut: usize| {
+            assert_eq!(read_frame(&mut r).unwrap(), Some((3, 8, vec![9; 10])));
+            let err = read_frame(&mut r).expect_err("truncated frame");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        };
+        // Cut the second of two frames mid-prefix, at and inside the
+        // header, and inside the payload.
+        for cut in [2, 4, 4 + 7, 4 + HEADER_BYTES, whole.len() - 1] {
+            let stream = [&whole[..], &whole[..cut]].concat();
+            read_cut(Box::new(&stream[..]), cut);
+            read_cut(Box::new(OneByte(&stream)), cut);
+            read_cut(Box::new(BufReader::with_capacity(5, &stream[..])), cut);
+        }
     }
 }

@@ -42,7 +42,7 @@
 pub mod frame;
 
 use std::any::Any;
-use std::io::{Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpistream::{MsgInfo, Tag, Wire};
+use mpistream::{MsgInfo, Tag, Wire, MAX_FRAME_BYTES};
 use native::mailbox::{Env, Mailbox};
 use native::sync::Instant;
 use native::{Link, MailboxGroup, MailboxRank};
@@ -70,6 +70,13 @@ const CTL_ALL_DONE: u8 = 0x44;
 /// connects may take before the run is declared wedged.
 const CTL_TIMEOUT: Duration = Duration::from_secs(120);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Capacity of each link's write buffer and each reader's read buffer.
+/// A frame up to this size leaves in one `write(2)`, a larger one in two.
+/// 64 KiB is many times a 2 KB map-output chunk or any control frame,
+/// and below Linux's default Unix-socket send buffer (208 KiB), so one
+/// full buffer normally fits into the socket in a single write.
+const LINK_BUF_BYTES: usize = 64 << 10;
 
 /// One socket rank: the per-process handle [`SocketWorld::run`] passes
 /// to the body.
@@ -307,16 +314,7 @@ impl SocketWorld {
             std::thread::spawn(move || acceptor_loop(listener, mailbox, tolerant));
         }
 
-        let link = SocketLink {
-            rank,
-            dir,
-            mailbox: Arc::clone(&mailbox),
-            links: (0..nprocs).map(|_| None).collect(),
-            next_channel: 0,
-            nprocs,
-            tolerant: self.tolerant,
-            dead: vec![false; nprocs],
-        };
+        let link = SocketLink::new(rank, nprocs, dir, Arc::clone(&mailbox), self.tolerant);
         let world = MailboxGroup::world(nprocs);
         let mut sr = MailboxRank::new(rank, world, Instant::now(), compute_scale, mailbox, link);
         let result = body(&mut sr);
@@ -431,7 +429,8 @@ fn acceptor_loop(listener: UnixListener, mailbox: Arc<Mailbox>, tolerant: bool) 
 /// the codec itself reports it as a typed error first) — except under
 /// `tolerant`, where a broken link (the peer process died mid-frame) is
 /// treated as end-of-stream.
-pub fn reader_loop(mut stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: bool) {
+pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: bool) {
+    let mut stream = BufReader::with_capacity(LINK_BUF_BYTES, stream);
     loop {
         match frame::read_frame(&mut stream) {
             Ok(Some((tag, bytes, payload))) => {
@@ -444,6 +443,29 @@ pub fn reader_loop(mut stream: UnixStream, src: usize, mailbox: &Mailbox, tolera
     }
 }
 
+/// A fresh outbound link: the connection preamble for sender `src` sits
+/// in the link's buffer and leaves with the first frame.
+fn open_link<W: Write>(inner: W, src: usize) -> BufWriter<W> {
+    let mut w = BufWriter::with_capacity(LINK_BUF_BYTES, inner);
+    frame::write_preamble(&mut w, src).expect("the preamble fits an empty link buffer");
+    w
+}
+
+/// Send one frame on a link: assemble it in the link's buffer, then
+/// flush before returning. A frame of up to [`LINK_BUF_BYTES`] (preamble
+/// included) costs one `write` on the inner stream, a larger one at most
+/// two. Frames are never held back to batch with later sends, so a rank
+/// never blocks with bytes a peer is waiting for still in its buffer.
+fn send_frame<W: Write>(
+    w: &mut BufWriter<W>,
+    tag: u64,
+    bytes: u64,
+    payload: &[u8],
+) -> io::Result<()> {
+    frame::write_frame(w, tag, bytes, payload)?;
+    w.flush()
+}
+
 /// The socket [`Link`]: sends cross the [`Wire`] codec and a framed
 /// Unix-socket write (the peer's reader thread pushes the frame into its
 /// mailbox); receives decode the frame back.
@@ -453,8 +475,10 @@ pub struct SocketLink {
     /// This rank's own mailbox, for self-sends.
     mailbox: Arc<Mailbox>,
     /// Outbound links, connected on first use (always succeeds: every
-    /// listener was bound before GO).
-    links: Vec<Option<UnixStream>>,
+    /// listener was bound before GO), each behind its own write buffer.
+    links: Vec<Option<BufWriter<UnixStream>>>,
+    /// Reused encode buffer for outbound payloads.
+    encoded: Vec<u8>,
     /// Per-process channel counter; world-unique ids without shared
     /// memory: `counter * nprocs + rank` gives each rank a disjoint
     /// arithmetic progression.
@@ -469,9 +493,29 @@ pub struct SocketLink {
 }
 
 impl SocketLink {
+    fn new(
+        rank: usize,
+        nprocs: usize,
+        dir: PathBuf,
+        mailbox: Arc<Mailbox>,
+        tolerant: bool,
+    ) -> Self {
+        SocketLink {
+            rank,
+            dir,
+            mailbox,
+            links: (0..nprocs).map(|_| None).collect(),
+            encoded: Vec::new(),
+            next_channel: 0,
+            nprocs,
+            tolerant,
+            dead: vec![false; nprocs],
+        }
+    }
+
     /// Connect-on-first-use outbound link; `None` means `dst` is dead
     /// (only possible in death-tolerant mode — strict worlds panic).
-    fn link(&mut self, dst: usize) -> Option<&mut UnixStream> {
+    fn link(&mut self, dst: usize) -> Option<&mut BufWriter<UnixStream>> {
         if self.dead[dst] {
             return None;
         }
@@ -484,49 +528,60 @@ impl SocketLink {
             } else {
                 connect_retry(&rank_sock(&self.dir, dst), CONNECT_TIMEOUT)
             };
-            let mut s = match connected {
-                Ok(s) => s,
+            match connected {
+                Ok(s) => self.links[dst] = Some(open_link(s, self.rank)),
                 Err(_) if self.tolerant => {
                     self.dead[dst] = true;
                     return None;
                 }
                 Err(e) => panic!("rank {}: connect to rank {dst}: {e}", self.rank),
-            };
-            match frame::write_preamble(&mut s, self.rank) {
-                Ok(()) => {}
-                Err(_) if self.tolerant => {
-                    self.dead[dst] = true;
-                    return None;
-                }
-                Err(e) => panic!("rank {}: preamble to rank {dst}: {e}", self.rank),
             }
-            self.links[dst] = Some(s);
         }
         self.links[dst].as_mut()
+    }
+
+    /// Frame `payload` to `dst`. An oversized frame is the sender's bug
+    /// and panics in either mode before any byte is written; only an I/O
+    /// error means the peer is gone.
+    fn send(&mut self, dst: usize, tag: Tag, bytes: u64, payload: &[u8]) {
+        let len = frame::HEADER_BYTES + payload.len();
+        assert!(
+            len <= MAX_FRAME_BYTES,
+            "rank {}: a {len}-byte frame to rank {dst} exceeds the {MAX_FRAME_BYTES}-byte cap",
+            self.rank
+        );
+        let Some(link) = self.link(dst) else {
+            return; // tolerant mode: dst is dead, the send is dropped
+        };
+        if let Err(e) = send_frame(link, tag.0, bytes, payload) {
+            assert!(self.tolerant, "rank {}: send to rank {dst}: {e}", self.rank);
+            // Discard the unsent bytes: dropping the writer would flush
+            // them at the corpse once more.
+            if let Some(w) = self.links[dst].take() {
+                drop(w.into_parts());
+            }
+            self.dead[dst] = true;
+        }
     }
 }
 
 impl Link for SocketLink {
     fn deliver<T: Wire + Send + 'static>(&mut self, dst: usize, info: MsgInfo, value: T) {
         let MsgInfo { src, tag, bytes } = info;
-        let payload = value.to_frame();
         if dst == src {
             // Self-sends still cross the codec — one uniform path, so a
             // payload that cannot round-trip fails loudly everywhere.
-            self.mailbox.push(Env { src, tag, bytes, payload: Box::new(payload) });
+            self.mailbox.push(Env { src, tag, bytes, payload: Box::new(value.to_frame()) });
             return;
         }
-        let Some(link) = self.link(dst) else {
-            return; // tolerant mode: dst is dead, the send is dropped
-        };
-        if let Err(e) = frame::write_frame(link, tag.0, bytes, &payload) {
-            if self.tolerant {
-                self.links[dst] = None;
-                self.dead[dst] = true;
-            } else {
-                panic!("rank {src}: send to rank {dst}: {e}");
-            }
-        }
+        let mut encoded = std::mem::take(&mut self.encoded);
+        encoded.clear();
+        value.encode(&mut encoded);
+        self.send(dst, tag, bytes, &encoded);
+        // Keep the buffer for the next send, but not one grown by a rare
+        // huge payload.
+        encoded.shrink_to(LINK_BUF_BYTES);
+        self.encoded = encoded;
     }
 
     fn open<T: Wire + Send + 'static>(
@@ -557,7 +612,121 @@ impl Link for SocketLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpistream::{Src, Transport};
+    use mpistream::{Src, Transport, WireError};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Counts the `write` calls that reach it.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(b);
+            Ok(b.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        let mut w = open_link(CountingSink::default(), 3);
+        let mut expected = Vec::new();
+        frame::write_preamble(&mut expected, 3).unwrap();
+        let mut send = |w: &mut BufWriter<CountingSink>, len: usize| {
+            let payload = vec![0xAB; len];
+            let before = w.get_ref().writes;
+            send_frame(w, 7, len as u64, &payload).unwrap();
+            frame::write_frame(&mut expected, 7, len as u64, &payload).unwrap();
+            w.get_ref().writes - before
+        };
+        // The preamble leaves together with the first frame.
+        assert_eq!(send(&mut w, 0), 1, "preamble + first frame");
+        assert_eq!(send(&mut w, 0), 1, "empty payload");
+        assert_eq!(send(&mut w, 2048), 1, "2 KiB payload");
+        for len in [LINK_BUF_BYTES - 8, LINK_BUF_BYTES, 3 * LINK_BUF_BYTES] {
+            assert!(send(&mut w, len) <= 2, "{len}-byte payload");
+        }
+        assert_eq!(w.buffer().len(), 0, "nothing left unflushed");
+        assert!(w.get_ref().bytes == expected, "the stream is exactly the frames");
+    }
+
+    /// A payload that encodes as `n` zero bytes, cheap at any size.
+    struct Blob(usize);
+
+    impl Wire for Blob {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.resize(out.len() + self.0, 0);
+        }
+
+        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+            let n = input.len();
+            *input = &[];
+            Ok(Blob(n))
+        }
+    }
+
+    /// Rank 0's link to a rank 1 that is the far end of `tx`.
+    fn paired_link(tx: UnixStream, tolerant: bool) -> SocketLink {
+        let mut link = SocketLink::new(0, 2, PathBuf::new(), Arc::new(Mailbox::new()), tolerant);
+        link.links[1] = Some(open_link(tx, 0));
+        link
+    }
+
+    fn panic_text(err: Box<dyn Any + Send>) -> String {
+        err.downcast::<String>().map(|s| *s).unwrap_or_default()
+    }
+
+    const INFO: MsgInfo = MsgInfo { src: 0, tag: Tag::user(1), bytes: 8 };
+
+    #[test]
+    fn an_oversized_frame_panics_in_both_modes_and_spares_the_peer() {
+        let too_big = MAX_FRAME_BYTES - frame::HEADER_BYTES + 1;
+        for tolerant in [false, true] {
+            let (tx, rx) = UnixStream::pair().expect("socketpair");
+            let mut link = paired_link(tx, tolerant);
+            let err = catch_unwind(AssertUnwindSafe(|| link.deliver(1, INFO, Blob(too_big))))
+                .expect_err("an oversized frame is a sender bug");
+            let text = panic_text(err);
+            let (len, cap) = (MAX_FRAME_BYTES + 1, MAX_FRAME_BYTES);
+            assert!(text.contains(&format!("{len}-byte frame")), "names the size: {text}");
+            assert!(text.contains(&format!("{cap}-byte cap")), "names the cap: {text}");
+            assert!(!link.dead[1], "a live peer is not marked dead (tolerant: {tolerant})");
+
+            // Nothing of the rejected frame was written: the peer reads
+            // the preamble, then the next frame, then EOF.
+            link.deliver(1, INFO, 41u64);
+            drop(link);
+            let mut r = BufReader::new(rx);
+            assert_eq!(frame::read_preamble(&mut r).unwrap(), 0);
+            let next = frame::read_frame(&mut r).unwrap();
+            assert_eq!(next, Some((INFO.tag.0, 8, 41u64.to_frame())));
+            assert_eq!(frame::read_frame(&mut r).unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn only_an_io_error_marks_a_peer_dead() {
+        let (tx, rx) = UnixStream::pair().expect("socketpair");
+        drop(rx);
+        let mut link = paired_link(tx, true);
+        link.deliver(1, INFO, 1u64);
+        assert!(link.dead[1] && link.links[1].is_none(), "tolerant: the writer is dropped");
+        link.deliver(1, INFO, 2u64); // dropped without a reconnect
+
+        let (tx, rx) = UnixStream::pair().expect("socketpair");
+        drop(rx);
+        let mut link = paired_link(tx, false);
+        let err = catch_unwind(AssertUnwindSafe(|| link.deliver(1, INFO, 1u64)))
+            .expect_err("strict: a broken link panics");
+        assert!(panic_text(err).contains("send to rank 1"));
+    }
 
     // Real multi-process smokes: each spawns its world as child
     // processes re-running this exact test under --exact. One
