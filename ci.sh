@@ -10,6 +10,10 @@ export CARGO_NET_OFFLINE=true
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (broken or private intra-doc links are errors) =="
+# Catches doc links that a deleted or renamed API leaves behind.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 echo "== format check =="
 cargo fmt --check
 

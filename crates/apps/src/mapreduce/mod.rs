@@ -4,7 +4,7 @@
 //! implementations:
 //!
 //! - [`run_reference`] — the MPI pattern of Hoefler et al. ("Towards
-//!   efficient MapReduce using MPI", cited as [15]): every rank maps its
+//!   efficient MapReduce using MPI", cited as \[15\]): every rank maps its
 //!   files, then the global key set is agreed with `Iallgatherv` and the
 //!   dense count vectors are combined with `Ireduce`.
 //! - [`run_decoupled`] — the paper's strategy: a map group streams

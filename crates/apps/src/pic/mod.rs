@@ -474,7 +474,7 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                     // Opportunistic, non-blocking merge of whatever
                     // arrivals already landed; stragglers join later.
                     let mut staged: Vec<Vec<Particle>> = Vec::new();
-                    while back.operate_some(rank, |_, bundle| staged.push(bundle)) > 0 {}
+                    while back.try_step(rank, |_, bundle| staged.push(bundle)).0 > 0 {}
                     for p in staged.into_iter().flatten() {
                         debug_assert_eq!(st.cart_owner(p.pos), me);
                         st.particles.push(p);

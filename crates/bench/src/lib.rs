@@ -248,7 +248,7 @@ pub mod configs {
     /// `iters`, the paper uses 300). The machine gets a visible OS-noise
     /// level (~1.5 % duty): Fig. 6's blocking-vs-overlap separation is an
     /// idle-wave effect — serialized halo waits harvest and propagate
-    /// noise that overlap hides (Peng et al., HPCC'16, the paper's [5]).
+    /// noise that overlap hides (Peng et al., HPCC'16, the paper's \[5\]).
     pub fn fig6(iters: usize) -> CgConfig {
         use desim::SimDuration;
         use mpisim::{MachineConfig, NoiseModel};

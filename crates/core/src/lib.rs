@@ -50,7 +50,6 @@
 //! });
 //! ```
 
-pub mod adaptive;
 pub mod channel;
 pub mod group;
 pub mod harness;
@@ -61,7 +60,6 @@ pub mod stream;
 pub mod transport;
 pub mod wire;
 
-pub use adaptive::AdaptiveGranularity;
 pub use channel::{ChannelConfig, ConfigError, RoutePolicy, StreamChannel};
 pub use group::{GroupSpec, Role};
 pub use harness::{run_decoupled, try_run_decoupled, ConsumerCtx, ProducerCtx};

@@ -15,9 +15,11 @@
 //! mechanism that absorbs producer imbalance: a late producer never stalls
 //! the consumer as long as any other producer has data in flight.
 
+use std::collections::{BTreeSet, HashMap, VecDeque};
+
 use crate::channel::{RoutePolicy, StreamChannel};
 use crate::group::Role;
-use crate::transport::{MsgInfo, SimTime, Src, Transport};
+use crate::transport::{MsgInfo, SimDuration, SimTime, Src, Transport};
 use crate::wire::{Wire, WireError};
 
 /// Wire format of one stream message: the enum that actually crosses the
@@ -99,7 +101,8 @@ pub enum ProducerState {
 pub struct ProducerReport {
     /// World rank of the producer.
     pub rank: usize,
-    /// Elements from this producer actually processed by this consumer.
+    /// Elements from this producer this consumer endpoint has taken: its
+    /// cursor, so elements a step before the drain took count too.
     pub delivered: u64,
     /// Elements the producer claims to have sent us (the `Term` payload);
     /// `None` when it died before terminating, so its claim is unknown.
@@ -121,7 +124,7 @@ impl ProducerReport {
 /// elements were processed and what became of each producer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamOutcome {
-    /// Total elements processed, over all producers.
+    /// Elements this drain handed to its operator, over all producers.
     pub processed: u64,
     /// One report per producer, in channel (sorted world-rank) order.
     pub producers: Vec<ProducerReport>,
@@ -149,7 +152,7 @@ impl StreamOutcome {
 ///
 /// Producer endpoints push with [`Stream::isend`] and close with
 /// [`Stream::terminate`]; consumer endpoints drain with
-/// [`Stream::operate`] (or step with [`Stream::operate_some`]).
+/// [`Stream::operate`] (or step with [`Stream::try_step`]).
 pub struct Stream<T> {
     channel: StreamChannel,
     // --- producer state ---
@@ -165,48 +168,17 @@ pub struct Stream<T> {
     /// the channel's `failure_timeout`).
     dead_consumers: Vec<bool>,
     terminated: bool,
-    // --- consumer state ---
-    terms_seen: usize,
-    /// World ranks of producers this consumer declared dead
-    /// (see [`Stream::operate_outcome`]).
-    dead_producers: Vec<usize>,
-    /// Total elements producers claim to have sent us (sum of Terms).
-    claimed: u64,
-    /// Elements received but not yet handed out by [`Stream::recv_one`].
-    pending: std::collections::VecDeque<T>,
-    /// Credit not yet acknowledged, per producer world rank: flushed as
-    /// one credit message once `config.credit_batch` elements accumulate
-    /// (see [`ChannelConfig::credit_batch`]).
-    ///
-    /// [`ChannelConfig::credit_batch`]: crate::ChannelConfig::credit_batch
-    pending_credit: std::collections::HashMap<usize, u64>,
-    /// While true, [`Stream::grant_credit`] only accumulates — nothing is
-    /// acknowledged until [`Stream::release_credits`]. The
-    /// commit-before-credit-return gate of replicated consumers
-    /// (`crates/replica`): a credit message doubles as a durability
-    /// acknowledgement there, so it must not leave before the processed
-    /// state is replicated.
-    gate_credits: bool,
-    /// Element cursor per producer world rank: how many of its elements
-    /// this consumer endpoint has processed. The replay oracle replicated
-    /// consumers checkpoint; maintained on every receive path.
-    delivered_by: std::collections::HashMap<usize, u64>,
-    /// Terminated producers' claimed totals per world rank (their `Term`
-    /// payloads), checkpointed alongside the cursors.
-    claimed_by: std::collections::HashMap<usize, u64>,
-    /// Producer world ranks whose data tag is quarantined, mapped to the
-    /// [`StreamMsg::Mark`] value that lifts the quarantine (`u64::MAX` =
-    /// never). A replicated consumer taking over quarantines every
-    /// unfinished producer until its post-announce epoch marker arrives:
-    /// per-`(src, tag)` FIFO puts all traffic addressed to an earlier
-    /// reign of this rank strictly before the marker, so everything
-    /// dropped while muted is provably stale. Always empty on
-    /// unreplicated channels.
-    muted: std::collections::HashMap<usize, u64>,
+    /// Producer-side statistics; a consumer endpoint keeps its own in `rx`.
     stats: StreamStats,
+    // --- consumer state ---
+    /// Elements received but not yet handed out by [`Stream::recv_one`].
+    pending: VecDeque<T>,
+    /// Everything else a consumer endpoint knows (see [`ConsumerCore`]).
+    rx: ConsumerCore,
 }
 
-/// What one [`Stream::step_deadline`] call consumed.
+/// What one [`Stream::step_deadline`] call (or any single receive of a
+/// consumer endpoint) consumed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepEvent {
     /// World rank of the producer whose message was dispatched.
@@ -251,22 +223,18 @@ impl<T: Wire + Send + 'static> Stream<T> {
         let cap = channel.config.aggregation;
         Stream {
             agg: (0..nc).map(|_| Vec::with_capacity(cap)).collect(),
-            channel,
             rr_next: 0,
             outstanding: vec![0; nc],
             sent_per_consumer: vec![0; nc],
             dead_consumers: vec![false; nc],
             terminated: false,
-            terms_seen: 0,
-            dead_producers: Vec::new(),
-            claimed: 0,
-            pending: std::collections::VecDeque::new(),
-            pending_credit: std::collections::HashMap::new(),
-            gate_credits: false,
-            delivered_by: std::collections::HashMap::new(),
-            claimed_by: std::collections::HashMap::new(),
-            muted: std::collections::HashMap::new(),
             stats: StreamStats::default(),
+            pending: VecDeque::new(),
+            rx: ConsumerCore::new(
+                channel.producers.len(),
+                channel.config.credits.map(|_| channel.config.credit_batch as u64),
+            ),
+            channel,
         }
     }
 
@@ -277,7 +245,10 @@ impl<T: Wire + Send + 'static> Stream<T> {
 
     /// Endpoint statistics so far.
     pub fn stats(&self) -> StreamStats {
-        self.stats
+        match self.channel.my_role {
+            Role::Consumer => self.rx.stats,
+            _ => self.stats,
+        }
     }
 
     fn my_producer_index<TP: Transport>(&self, rank: &TP) -> usize {
@@ -495,39 +466,10 @@ impl<T: Wire + Send + 'static> Stream<T> {
     }
 
     // ------------------------------------------------------------------
-    // Consumer side
+    // Consumer side: thin drivers over the sans-io `ConsumerCore`. They
+    // differ only in how they receive (blocking, try, deadline), when
+    // the operator runs, and whether the failure detector is armed.
     // ------------------------------------------------------------------
-
-    /// Acknowledge `n` consumed elements towards producer `src`,
-    /// accumulating up to `config.credit_batch` elements per producer
-    /// before flushing one credit message. With the default batch of 1
-    /// this is exactly the original protocol: one credit message per
-    /// data batch, sent immediately.
-    fn grant_credit<TP: Transport>(&mut self, rank: &mut TP, src: usize, n: u64) {
-        debug_assert!(self.channel.config.credits.is_some());
-        if self.gate_credits {
-            // Commit-before-credit-return: park everything until the
-            // replication layer calls `release_credits`.
-            *self.pending_credit.entry(src).or_insert(0) += n;
-            return;
-        }
-        let batch = self.channel.config.credit_batch as u64;
-        let tag = self.channel.credit_tag();
-        if batch <= 1 {
-            // Sanitizer report before the send, as on the data path: the
-            // producer absorbs the credit as soon as it is observable.
-            rank.check_credit_issued(self.channel.id, src, n);
-            rank.send(src, tag, 8, n);
-            return;
-        }
-        let pending = self.pending_credit.entry(src).or_insert(0);
-        *pending += n;
-        if *pending >= batch {
-            let acked = std::mem::take(pending);
-            rank.check_credit_issued(self.channel.id, src, acked);
-            rank.send(src, tag, 8, acked);
-        }
-    }
 
     /// Gate (or un-gate) credit acknowledgements. While held, every credit
     /// this endpoint would grant is parked in the pending ledger instead of
@@ -537,23 +479,14 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// elements are durably replicated, so it may only leave after the
     /// covering checkpoint commits.
     pub fn hold_credits(&mut self, hold: bool) {
-        self.gate_credits = hold;
+        self.rx.gate_credits = hold;
     }
 
     /// Flush every parked credit acknowledgement, regardless of the
     /// `credit_batch` threshold. A no-op on channels without credits.
     pub fn release_credits<TP: Transport>(&mut self, rank: &mut TP) {
-        if self.channel.config.credits.is_none() {
-            return;
-        }
-        let tag = self.channel.credit_tag();
-        // Deterministic flush order (HashMap iteration is not).
-        let mut entries: Vec<(usize, u64)> =
-            self.pending_credit.drain().filter(|&(_, n)| n > 0).collect();
-        entries.sort_unstable();
-        for (src, acked) in entries {
-            rank.check_credit_issued(self.channel.id, src, acked);
-            rank.send(src, tag, 8, acked);
+        for (src, acked) in self.rx.take_credits() {
+            self.send_credit(rank, src, acked);
         }
     }
 
@@ -565,40 +498,23 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// order; empty on channels without credits. The caller must report
     /// each pair via `Transport::check_credit_issued` when it sends.
     pub fn take_pending_credits(&mut self) -> Vec<(usize, u64)> {
-        if self.channel.config.credits.is_none() {
-            return Vec::new();
-        }
-        let mut entries: Vec<(usize, u64)> =
-            self.pending_credit.drain().filter(|&(_, n)| n > 0).collect();
-        entries.sort_unstable();
-        entries
-    }
-
-    /// A producer terminated (or died): drop its accumulated credit
-    /// rather than acknowledging into the void. Its `Term` is the last
-    /// message on the data tag (non-overtaking per `(src, tag)`), so the
-    /// producer can never again block on the window — a flush here would
-    /// only send a message nobody is waiting for.
-    fn credit_on_closed(&mut self, src: usize) {
-        self.pending_credit.remove(&src);
+        self.rx.take_credits()
     }
 
     /// Apply `op` to every arriving element, first-come-first-served over
     /// all producers, until every producer has terminated
     /// (`MPIStream_Operate`). Returns the number of elements processed.
     pub fn operate<TP: Transport>(&mut self, rank: &mut TP, mut op: impl FnMut(&mut TP, T)) -> u64 {
-        assert_eq!(self.channel.my_role, Role::Consumer, "operate on a non-consumer endpoint");
-        let mut processed = 0;
+        let tag = self.consumer_tag("operate");
         // Drain anything a prior recv_one pulled but did not hand out.
-        while let Some(elem) = self.pending.pop_front() {
-            op(rank, elem);
-            processed += 1;
-        }
-        while self.terms_seen < self.channel.producers.len() {
-            processed += self.step(rank, &mut op);
+        let mut processed = self.drain_pending(rank, &mut op);
+        while !self.rx.all_done() {
+            let got = rank.recv(Src::Any, tag);
+            processed += self.deliver(rank, got, None, &mut op).elems;
         }
         debug_assert_eq!(
-            self.stats.elements, self.claimed,
+            self.rx.stats.elements,
+            self.rx.claimed(),
             "conservation: processed must equal producers' claimed total"
         );
         processed
@@ -623,178 +539,45 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// live again.
     ///
     /// With `failure_timeout = None` this behaves exactly like `operate`,
-    /// plus reporting. Must be the endpoint's only draining call — mixing
-    /// with `operate`/`recv_one` would consume `Term`s this method can no
-    /// longer attribute.
+    /// plus reporting. Earlier [`Stream::try_step`] / [`Stream::recv_one`]
+    /// calls may have taken elements (they count as delivered), but no
+    /// `Term` may have been consumed yet: the drain must see every
+    /// producer's flow end.
     pub fn operate_outcome<TP: Transport>(
         &mut self,
         rank: &mut TP,
         mut op: impl FnMut(&mut TP, T),
     ) -> StreamOutcome {
-        assert_eq!(self.channel.my_role, Role::Consumer, "operate on a non-consumer endpoint");
-        assert_eq!(self.terms_seen, 0, "operate_outcome must be the endpoint's only draining call");
-        let producers = self.channel.producers.clone();
-        let np = producers.len();
-        // World rank -> channel index, so the per-message attribution is a
-        // hash lookup instead of an O(np) scan (wide fan-in channels drain
-        // one message per producer per scan otherwise — O(np²) total).
-        let idx_of: std::collections::HashMap<usize, usize> =
-            producers.iter().enumerate().map(|(i, &w)| (w, i)).collect();
-        // Consumer patience is 2x the configured timeout (see rustdoc).
-        let timeout = self.channel.config.failure_timeout.map(|t| t + t);
-        let mut delivered = vec![0u64; np];
-        let mut claimed: Vec<Option<u64>> = vec![None; np];
-        let mut dead = vec![false; np];
-        let mut terminated = vec![false; np];
-        let mut last_heard = vec![rank.now(); np];
-        // Silence deadlines of *open* (neither terminated nor dead)
-        // producers, ordered: `first()` is the earliest instant any of them
-        // exceeds the timeout. Maintained incrementally on each arrival in
-        // place of a full O(np) min-scan per message.
-        let mut deadlines: std::collections::BTreeSet<(SimTime, usize)> =
-            std::collections::BTreeSet::new();
-        if let Some(t) = timeout {
-            for (i, &heard) in last_heard.iter().enumerate() {
-                deadlines.insert((heard + t, i));
-            }
+        let tag = self.consumer_tag("operate");
+        assert!(self.rx.claims.is_empty(), "operate_outcome after a drain consumed a Term");
+        let now = rank.now();
+        if let Some(t) = self.channel.config.failure_timeout {
+            // Consumer patience is 2x the configured timeout (see rustdoc).
+            self.rx.arm(&self.channel.producers, now, t + t);
         }
-        let mut processed = 0u64;
-        // Elements a prior `recv_one` pulled but never handed out can no
-        // longer be attributed to a producer; they only count in the total.
-        while let Some(elem) = self.pending.pop_front() {
-            op(rank, elem);
-            processed += 1;
-        }
-        let tag = self.channel.data_tag();
-        loop {
-            if terminated.iter().zip(&dead).all(|(&t, &d)| t || d) {
-                break;
-            }
-            let got = match timeout {
-                None => Some(rank.recv::<StreamMsg<T>>(Src::Any, tag)),
-                Some(_) => {
-                    // The earliest instant any open producer's silence
-                    // exceeds the timeout.
-                    let &(deadline, _) = deadlines.first().expect("at least one producer is open");
-                    rank.recv_deadline::<StreamMsg<T>>(Src::Any, tag, deadline)
-                }
+        // Elements a prior `recv_one` pulled but never handed out are
+        // already on their producer's cursor; they only count in `processed`.
+        let mut processed = self.drain_pending(rank, &mut op);
+        while !self.rx.all_done() {
+            let got = match self.rx.next_deadline() {
+                None => Some(rank.recv(Src::Any, tag)),
+                Some(deadline) => rank.recv_deadline(Src::Any, tag, deadline),
             };
+            let now = rank.now();
             match got {
-                Some((wire, info)) => {
-                    let pi = *idx_of.get(&info.src).expect("stream data from a channel producer");
-                    if let Some(t) = timeout {
-                        // Absent when `pi` was closed (dead producer
-                        // speaking again) — remove is a no-op then.
-                        deadlines.remove(&(last_heard[pi] + t, pi));
-                    }
-                    last_heard[pi] = rank.now();
-                    dead[pi] = false; // self-heal: it spoke after the verdict
-                    match wire {
-                        StreamMsg::Data(batch) => {
-                            let n = batch.len() as u64;
-                            self.stats.elements += n;
-                            self.stats.batches += 1;
-                            self.stats.bytes += info.bytes;
-                            rank.prof_stream_recv(self.channel.id, n, info.bytes);
-                            *self.delivered_by.entry(info.src).or_insert(0) += n;
-                            delivered[pi] += n;
-                            processed += n;
-                            for elem in batch {
-                                op(rank, elem);
-                            }
-                            if let Some(t) = timeout {
-                                if !terminated[pi] {
-                                    deadlines.insert((last_heard[pi] + t, pi));
-                                }
-                            }
-                            if self.channel.config.credits.is_some() {
-                                self.grant_credit(rank, info.src, n);
-                            }
-                        }
-                        StreamMsg::Term { sent } => {
-                            if self.claimed_by.insert(info.src, sent).is_none() {
-                                self.terms_seen += 1;
-                                self.claimed += sent;
-                            }
-                            terminated[pi] = true;
-                            claimed[pi] = Some(sent);
-                            self.credit_on_closed(info.src);
-                        }
-                        StreamMsg::Mark(_) => {
-                            // Epoch marker: a liveness signal with nothing
-                            // to fold. Only replicated producers send it,
-                            // and they drain through `step_deadline` — but
-                            // arriving here it is benign: re-arm the
-                            // sender's silence deadline and move on.
-                            if let Some(t) = timeout {
-                                if !terminated[pi] {
-                                    deadlines.insert((last_heard[pi] + t, pi));
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    // Deadline passed with nothing deliverable: declare
-                    // every producer silent past the timeout dead and
-                    // reclaim its claim on this endpoint.
-                    let now = rank.now();
-                    while let Some(&(d, i)) = deadlines.first() {
-                        if d > now {
-                            break;
-                        }
-                        deadlines.pop_first();
-                        dead[i] = true;
-                    }
-                }
+                Some(got) => processed += self.deliver(rank, got, Some(now), &mut op).elems,
+                // Deadline passed with nothing deliverable.
+                None => self.rx.convict(now),
             }
         }
-        self.dead_producers = (0..np).filter(|&i| dead[i]).map(|i| producers[i]).collect();
         StreamOutcome {
             processed,
-            producers: (0..np)
-                .map(|i| ProducerReport {
-                    rank: producers[i],
-                    delivered: delivered[i],
-                    claimed: claimed[i],
-                    state: if dead[i] { ProducerState::Dead } else { ProducerState::Terminated },
-                })
-                .collect(),
+            producers: self.channel.producers.iter().map(|&p| self.rx.report(p)).collect(),
         }
-    }
-
-    /// Process arriving elements while `running` stays true (for consumers
-    /// that interleave stream processing with other work). Returns
-    /// elements processed; stops early once all producers terminated.
-    pub fn operate_while<TP: Transport>(
-        &mut self,
-        rank: &mut TP,
-        mut running: impl FnMut() -> bool,
-        mut op: impl FnMut(&mut TP, T),
-    ) -> u64 {
-        let mut processed = 0;
-        while self.terms_seen < self.channel.producers.len() && running() {
-            processed += self.step(rank, &mut op);
-        }
-        processed
     }
 
     /// Process at most the next wire message if one is already available;
-    /// never blocks. Returns elements processed (0 if nothing was ready).
-    pub fn operate_some<TP: Transport>(
-        &mut self,
-        rank: &mut TP,
-        mut op: impl FnMut(&mut TP, T),
-    ) -> u64 {
-        assert_eq!(self.channel.my_role, Role::Consumer);
-        let tag = self.channel.data_tag();
-        match rank.try_recv::<StreamMsg<T>>(Src::Any, tag) {
-            Some((wire, info)) => self.dispatch(rank, wire, info, &mut op),
-            None => 0,
-        }
-    }
-
-    /// Like [`Stream::operate_some`] but also reports whether *any* wire
+    /// never blocks. Returns the elements processed and whether *any* wire
     /// message (data or termination marker) was consumed — the progress
     /// signal multiplexers need to avoid busy-waiting.
     pub fn try_step<TP: Transport>(
@@ -802,10 +585,9 @@ impl<T: Wire + Send + 'static> Stream<T> {
         rank: &mut TP,
         mut op: impl FnMut(&mut TP, T),
     ) -> (u64, bool) {
-        assert_eq!(self.channel.my_role, Role::Consumer);
-        let tag = self.channel.data_tag();
-        match rank.try_recv::<StreamMsg<T>>(Src::Any, tag) {
-            Some((wire, info)) => (self.dispatch(rank, wire, info, &mut op), true),
+        let tag = self.consumer_tag("try_step");
+        match rank.try_recv(Src::Any, tag) {
+            Some(got) => (self.deliver(rank, got, None, &mut op).elems, true),
             None => (0, false),
         }
     }
@@ -820,16 +602,9 @@ impl<T: Wire + Send + 'static> Stream<T> {
         deadline: SimTime,
         mut op: impl FnMut(&mut TP, T),
     ) -> Option<StepEvent> {
-        assert_eq!(self.channel.my_role, Role::Consumer);
-        let tag = self.channel.data_tag();
-        let (wire, info) = rank.recv_deadline::<StreamMsg<T>>(Src::Any, tag, deadline)?;
-        let src = info.src;
-        // A quarantined `Term` is dropped by `dispatch` and must not be
-        // reported either: the replica driver acknowledges term events,
-        // which would certify a flow whose claim never committed.
-        let term = matches!(wire, StreamMsg::Term { .. }) && !self.is_quarantined(src);
-        let elems = self.dispatch(rank, wire, info, &mut op);
-        Some(StepEvent { src, elems, term })
+        let tag = self.consumer_tag("step_deadline");
+        let got = rank.recv_deadline(Src::Any, tag, deadline)?;
+        Some(self.deliver(rank, got, None, &mut op))
     }
 
     /// Snapshot this consumer endpoint's durable state (element cursors,
@@ -837,18 +612,18 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// encoding is canonical: two endpoints that processed the same
     /// elements produce byte-identical checkpoints.
     pub fn consumer_checkpoint(&self) -> ConsumerCheckpoint {
-        let mut cursors: Vec<(u64, u64)> =
-            self.delivered_by.iter().map(|(&r, &n)| (r as u64, n)).collect();
-        cursors.sort_unstable();
-        let mut claims: Vec<(u64, u64)> =
-            self.claimed_by.iter().map(|(&r, &n)| (r as u64, n)).collect();
-        claims.sort_unstable();
+        let sorted = |m: &HashMap<usize, u64>| {
+            let mut v: Vec<(u64, u64)> = m.iter().map(|(&r, &n)| (r as u64, n)).collect();
+            v.sort_unstable();
+            v
+        };
+        let stats = self.rx.stats;
         ConsumerCheckpoint {
-            cursors,
-            claims,
-            elements: self.stats.elements,
-            batches: self.stats.batches,
-            bytes: self.stats.bytes,
+            cursors: sorted(&self.rx.cursors),
+            claims: sorted(&self.rx.claims),
+            elements: stats.elements,
+            batches: stats.batches,
+            bytes: stats.bytes,
         }
     }
 
@@ -860,16 +635,15 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// elements).
     pub fn restore_consumer(&mut self, ckpt: &ConsumerCheckpoint) {
         assert_eq!(self.channel.my_role, Role::Consumer);
-        self.delivered_by = ckpt.cursors.iter().map(|&(r, n)| (r as usize, n)).collect();
-        self.claimed_by = ckpt.claims.iter().map(|&(r, n)| (r as usize, n)).collect();
-        self.terms_seen = ckpt.claims.len();
-        self.claimed = ckpt.claims.iter().map(|&(_, n)| n).sum();
+        let rx = &mut self.rx;
+        rx.cursors = ckpt.cursors.iter().map(|&(r, n)| (r as usize, n)).collect();
+        rx.claims = ckpt.claims.iter().map(|&(r, n)| (r as usize, n)).collect();
+        rx.pending_credit.clear();
+        rx.muted.clear();
+        rx.stats.elements = ckpt.elements;
+        rx.stats.batches = ckpt.batches;
+        rx.stats.bytes = ckpt.bytes;
         self.pending.clear();
-        self.pending_credit.clear();
-        self.muted.clear();
-        self.stats.elements = ckpt.elements;
-        self.stats.batches = ckpt.batches;
-        self.stats.bytes = ckpt.bytes;
     }
 
     /// Quarantine producer world rank `src`'s data tag until a
@@ -882,30 +656,30 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// reign is delivered strictly before the post-announce marker, so
     /// the drop window contains exactly the stale traffic.
     pub fn quarantine_until_mark(&mut self, src: usize, mark: u64) {
-        self.muted.insert(src, mark);
+        self.rx.muted.insert(src, mark);
     }
 
     /// Whether producer world rank `src` is currently quarantined.
     pub fn is_quarantined(&self, src: usize) -> bool {
-        self.muted.contains_key(&src)
+        self.rx.muted.contains_key(&src)
     }
 
     /// The element cursor for producer world rank `src`: elements of its
     /// flow this endpoint has processed.
     pub fn cursor_of(&self, src: usize) -> u64 {
-        self.delivered_by.get(&src).copied().unwrap_or(0)
+        self.rx.cursors.get(&src).copied().unwrap_or(0)
     }
 
     /// Whether producer world rank `src`'s `Term` has been processed, and
     /// its claimed total if so.
     pub fn claim_of(&self, src: usize) -> Option<u64> {
-        self.claimed_by.get(&src).copied()
+        self.rx.claims.get(&src).copied()
     }
 
     /// Whether every producer has signalled termination (or, after a
     /// fault-tolerant drain, been declared dead).
     pub fn all_terminated(&self) -> bool {
-        self.terms_seen + self.dead_producers.len() >= self.channel.producers.len()
+        self.rx.all_done()
     }
 
     /// Release the endpoint (`MPIStream_FreeChannel`): consumes the
@@ -931,9 +705,10 @@ impl<T: Wire + Send + 'static> Stream<T> {
                 );
                 // Conservation only holds when no producer died: a dead
                 // producer's claim is unknown and its data may be short.
-                if self.dead_producers.is_empty() {
+                if self.rx.detector.as_ref().is_none_or(|d| d.dead.is_empty()) {
                     assert_eq!(
-                        self.stats.elements, self.claimed,
+                        self.rx.stats.elements,
+                        self.rx.claimed(),
                         "free() with unconsumed claimed elements"
                     );
                 }
@@ -947,112 +722,281 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// all elements were handed out. Mixing `recv_one` with `operate` on
     /// the same endpoint is supported — both drain the same buffers.
     pub fn recv_one<TP: Transport>(&mut self, rank: &mut TP) -> Option<T> {
-        assert_eq!(self.channel.my_role, Role::Consumer, "recv_one on a non-consumer endpoint");
+        let tag = self.consumer_tag("recv_one");
         loop {
             if let Some(elem) = self.pending.pop_front() {
                 return Some(elem);
             }
             if self.all_terminated() {
-                debug_assert_eq!(self.stats.elements, self.claimed);
+                debug_assert_eq!(self.rx.stats.elements, self.rx.claimed());
                 return None;
             }
-            let tag = self.channel.data_tag();
-            let (wire, info) = rank.recv::<StreamMsg<T>>(Src::Any, tag);
-            if let StreamMsg::Mark(mark) = wire {
-                if self.muted.get(&info.src).is_some_and(|&need| mark >= need) {
-                    self.muted.remove(&info.src);
-                }
-                continue;
-            }
-            if !self.muted.is_empty() && self.muted.contains_key(&info.src) {
-                continue; // quarantined: stale pre-takeover traffic
-            }
-            match wire {
-                StreamMsg::Data(batch) => {
-                    let n = batch.len() as u64;
-                    self.stats.elements += n;
-                    self.stats.batches += 1;
-                    self.stats.bytes += info.bytes;
-                    rank.prof_stream_recv(self.channel.id, n, info.bytes);
-                    *self.delivered_by.entry(info.src).or_insert(0) += n;
-                    self.pending.extend(batch);
-                    if self.channel.config.credits.is_some() {
-                        self.grant_credit(rank, info.src, n);
-                    }
-                }
-                StreamMsg::Term { sent } => {
-                    // Idempotent: a resent Term (a replicated producer whose
-                    // TermAck was lost, see `crates/replica`) must not
-                    // double-count the claim.
-                    if self.claimed_by.insert(info.src, sent).is_none() {
-                        self.terms_seen += 1;
-                        self.claimed += sent;
-                    }
-                    self.credit_on_closed(info.src);
-                }
-                StreamMsg::Mark(_) => unreachable!("Mark is consumed before the match"),
-            }
+            let got = rank.recv(Src::Any, tag);
+            // The batch moves into the (empty) buffer and its credit
+            // leaves at receipt, before any element is handed out.
+            let mut pending = std::mem::take(&mut self.pending);
+            self.deliver(rank, got, None, &mut |_, elem| pending.push_back(elem));
+            self.pending = pending;
         }
     }
 
-    /// Blockingly receive and dispatch one wire message.
-    fn step<TP: Transport>(&mut self, rank: &mut TP, op: &mut impl FnMut(&mut TP, T)) -> u64 {
-        let tag = self.channel.data_tag();
-        let (wire, info) = rank.recv::<StreamMsg<T>>(Src::Any, tag);
-        self.dispatch(rank, wire, info, op)
+    /// The data tag, asserting this is a consumer endpoint.
+    fn consumer_tag(&self, what: &str) -> crate::transport::Tag {
+        assert_eq!(self.channel.my_role, Role::Consumer, "{what} on a non-consumer endpoint");
+        self.channel.data_tag()
     }
 
-    fn dispatch<TP: Transport>(
+    /// Hand elements a prior `recv_one` pulled but did not return to `op`.
+    fn drain_pending<TP: Transport>(
         &mut self,
         rank: &mut TP,
-        wire: StreamMsg<T>,
-        info: MsgInfo,
         op: &mut impl FnMut(&mut TP, T),
     ) -> u64 {
-        if let StreamMsg::Mark(mark) = wire {
-            // An epoch marker lifts a matching quarantine; stale markers
-            // (from a view this rank's quarantine outlived) are ignored.
-            if self.muted.get(&info.src).is_some_and(|&need| mark >= need) {
-                self.muted.remove(&info.src);
-            }
-            return 0;
+        let n = self.pending.len() as u64;
+        for elem in std::mem::take(&mut self.pending) {
+            op(rank, elem);
         }
-        if !self.muted.is_empty() && self.muted.contains_key(&info.src) {
+        n
+    }
+
+    /// Fold one received message through the core, run its batch through
+    /// `op`, then acknowledge the batch. `now` is the receive instant when
+    /// the failure detector is armed.
+    fn deliver<TP: Transport>(
+        &mut self,
+        rank: &mut TP,
+        (msg, info): (StreamMsg<T>, MsgInfo),
+        now: Option<SimTime>,
+        op: &mut impl FnMut(&mut TP, T),
+    ) -> StepEvent {
+        let src = info.src;
+        let (elems, term) = match self.rx.on_msg(src, info.bytes, msg, now) {
+            Event::Data(batch) => {
+                let n = batch.len() as u64;
+                rank.prof_stream_recv(self.channel.id, n, info.bytes);
+                for elem in batch {
+                    op(rank, elem);
+                }
+                if let Some(acked) = self.rx.grant(src, n) {
+                    self.send_credit(rank, src, acked);
+                }
+                (n, false)
+            }
+            Event::Term => (0, true),
+            Event::Skip => (0, false),
+        };
+        StepEvent { src, elems, term }
+    }
+
+    fn send_credit<TP: Transport>(&self, rank: &mut TP, src: usize, acked: u64) {
+        // Sanitizer report before the send, as on the data path: the
+        // producer absorbs the credit as soon as it is observable.
+        rank.check_credit_issued(self.channel.id, src, acked);
+        rank.send(src, self.channel.credit_tag(), 8, acked);
+    }
+}
+
+/// What the consumer core made of one wire message.
+enum Event<T> {
+    /// A data batch, accounted and ready for the operator.
+    Data(Vec<T>),
+    /// The producer's termination marker (a resent one included).
+    Term,
+    /// Nothing to fold: an epoch marker, or quarantined stale traffic.
+    Skip,
+}
+
+/// The consumer half of a stream endpoint, free of I/O: every receive
+/// path of [`Stream`] feeds its messages through [`ConsumerCore::on_msg`]
+/// and sends whatever credit [`ConsumerCore::grant`] says is due.
+#[derive(Default)]
+struct ConsumerCore {
+    /// Producers on the channel.
+    producers: usize,
+    /// Element cursor per producer world rank: how many of its elements
+    /// this endpoint has accounted. The replay oracle replicated
+    /// consumers checkpoint.
+    cursors: HashMap<usize, u64>,
+    /// Terminated producers' claimed totals per world rank (their `Term`
+    /// payloads); its length is the number of producers that terminated.
+    claims: HashMap<usize, u64>,
+    /// Producer world ranks whose data tag is quarantined, mapped to the
+    /// [`StreamMsg::Mark`] value that lifts the quarantine (`u64::MAX` =
+    /// never). A replicated consumer taking over quarantines every
+    /// unfinished producer until its post-announce epoch marker arrives:
+    /// per-`(src, tag)` FIFO puts all traffic addressed to an earlier
+    /// reign of this rank strictly before the marker, so everything
+    /// dropped while muted is provably stale. Always empty on
+    /// unreplicated channels.
+    muted: HashMap<usize, u64>,
+    /// The channel's `credit_batch`, or `None` when it has no credits.
+    credit_batch: Option<u64>,
+    /// Credit not yet acknowledged, per producer world rank.
+    pending_credit: HashMap<usize, u64>,
+    /// While true, nothing is acknowledged until the ledger is taken: the
+    /// commit-before-credit-return gate of replicated consumers.
+    gate_credits: bool,
+    /// Consumer-side statistics (elements, batches, bytes).
+    stats: StreamStats,
+    /// The silence-deadline failure detector, armed by
+    /// [`Stream::operate_outcome`] on channels with a `failure_timeout`.
+    detector: Option<Detector>,
+}
+
+/// Producers silent for `patience` are declared dead; one that speaks
+/// again self-heals.
+struct Detector {
+    patience: SimDuration,
+    /// When each producer last spoke (or the detector was armed).
+    last_heard: HashMap<usize, SimTime>,
+    /// Silence deadlines of *open* (neither terminated nor dead)
+    /// producers, earliest first, maintained incrementally on each
+    /// arrival in place of a full O(np) min-scan per message.
+    deadlines: BTreeSet<(SimTime, usize)>,
+    dead: BTreeSet<usize>,
+}
+
+impl ConsumerCore {
+    fn new(producers: usize, credit_batch: Option<u64>) -> ConsumerCore {
+        ConsumerCore { producers, credit_batch, ..ConsumerCore::default() }
+    }
+
+    /// Account one wire message from producer world rank `src` (`bytes`
+    /// on the wire). `now` is its receive instant when the detector is
+    /// armed; the unarmed drivers pass `None` and never read the clock.
+    fn on_msg<T>(
+        &mut self,
+        src: usize,
+        bytes: u64,
+        msg: StreamMsg<T>,
+        now: Option<SimTime>,
+    ) -> Event<T> {
+        let event = match msg {
+            StreamMsg::Mark(mark) => {
+                // An epoch marker lifts a matching quarantine; stale
+                // markers (from a view this rank's quarantine outlived)
+                // are ignored.
+                if self.muted.get(&src).is_some_and(|&need| mark >= need) {
+                    self.muted.remove(&src);
+                }
+                Event::Skip
+            }
             // Quarantined: pre-takeover traffic addressed to an earlier
             // reign of this rank. Dropping it is the exactly-once cut —
             // everything below the producer's marker was either already
-            // folded into the committed checkpoint or will arrive again
-            // in the post-marker replay.
-            return 0;
-        }
-        match wire {
+            // folded into the committed checkpoint or will arrive again in
+            // the post-marker replay.
+            _ if !self.muted.is_empty() && self.muted.contains_key(&src) => Event::Skip,
             StreamMsg::Data(batch) => {
                 let n = batch.len() as u64;
                 self.stats.elements += n;
                 self.stats.batches += 1;
-                self.stats.bytes += info.bytes;
-                rank.prof_stream_recv(self.channel.id, n, info.bytes);
-                *self.delivered_by.entry(info.src).or_insert(0) += n;
-                for elem in batch {
-                    op(rank, elem);
-                }
-                if self.channel.config.credits.is_some() {
-                    // Acknowledge the whole batch (or accumulate towards
-                    // one credit_batch-sized acknowledgement).
-                    self.grant_credit(rank, info.src, n);
-                }
-                n
+                self.stats.bytes += bytes;
+                *self.cursors.entry(src).or_insert(0) += n;
+                Event::Data(batch)
             }
             StreamMsg::Term { sent } => {
-                // Idempotent against resent Terms (see `recv_one`).
-                if self.claimed_by.insert(info.src, sent).is_none() {
-                    self.terms_seen += 1;
-                    self.claimed += sent;
-                }
-                self.credit_on_closed(info.src);
-                0
+                // Idempotent: a resent Term (a replicated producer whose
+                // TermAck was lost, see `crates/replica`) re-states the
+                // same claim. A `Term` is the producer's last message on
+                // the data tag, so its pending credit is dropped rather
+                // than sent to a producer that can no longer block on
+                // the window.
+                self.claims.insert(src, sent);
+                self.pending_credit.remove(&src);
+                Event::Term
             }
-            StreamMsg::Mark(_) => unreachable!("Mark is consumed before the dispatch match"),
+        };
+        if let (Some(d), Some(now)) = (&mut self.detector, now) {
+            d.heard(src, now, !self.claims.contains_key(&src));
+        }
+        event
+    }
+
+    /// Account `n` processed elements from `src`: the acknowledgement to
+    /// send now, if the `credit_batch` threshold is met and credits are
+    /// not held. With the default batch of 1 every batch is acknowledged
+    /// at once.
+    fn grant(&mut self, src: usize, n: u64) -> Option<u64> {
+        let batch = self.credit_batch?;
+        let owed = self.pending_credit.entry(src).or_insert(0);
+        *owed += n;
+        (!self.gate_credits && *owed >= batch).then(|| std::mem::take(owed))
+    }
+
+    /// Drain the credit ledger, sorted by producer rank (HashMap
+    /// iteration order is not deterministic).
+    fn take_credits(&mut self) -> Vec<(usize, u64)> {
+        let mut owed: Vec<(usize, u64)> =
+            self.pending_credit.drain().filter(|&(_, n)| n > 0).collect();
+        owed.sort_unstable();
+        owed
+    }
+
+    /// Total elements terminated producers claim to have sent.
+    fn claimed(&self) -> u64 {
+        self.claims.values().sum()
+    }
+
+    /// Whether every producer has terminated or been declared dead.
+    fn all_done(&self) -> bool {
+        let dead = self.detector.as_ref().map_or(0, |d| d.dead.len());
+        self.claims.len() + dead >= self.producers
+    }
+
+    /// Arm the failure detector at `now`: every producer must speak
+    /// within `patience`.
+    fn arm(&mut self, producers: &[usize], now: SimTime, patience: SimDuration) {
+        self.detector = Some(Detector {
+            patience,
+            last_heard: producers.iter().map(|&p| (p, now)).collect(),
+            deadlines: producers.iter().map(|&p| (now + patience, p)).collect(),
+            dead: BTreeSet::new(),
+        });
+    }
+
+    /// The earliest instant an open producer's silence exceeds the
+    /// patience; `None` while the detector is unarmed.
+    fn next_deadline(&self) -> Option<SimTime> {
+        let d = self.detector.as_ref()?;
+        Some(d.deadlines.first().expect("at least one producer is open").0)
+    }
+
+    /// Declare every producer silent past its deadline at `now` dead.
+    fn convict(&mut self, now: SimTime) {
+        let Some(d) = &mut self.detector else { return };
+        while let Some(&(deadline, p)) = d.deadlines.first() {
+            if deadline > now {
+                break;
+            }
+            d.deadlines.pop_first();
+            d.dead.insert(p);
+        }
+    }
+
+    /// What became of producer world rank `p`, from its cursor and claim.
+    fn report(&self, p: usize) -> ProducerReport {
+        let dead = self.detector.as_ref().is_some_and(|d| d.dead.contains(&p));
+        ProducerReport {
+            rank: p,
+            delivered: self.cursors.get(&p).copied().unwrap_or(0),
+            claimed: self.claims.get(&p).copied(),
+            state: if dead { ProducerState::Dead } else { ProducerState::Terminated },
+        }
+    }
+}
+
+impl Detector {
+    /// Producer `src` spoke at `now`: lift any verdict on it and, while
+    /// its flow is `open`, restart its silence deadline.
+    fn heard(&mut self, src: usize, now: SimTime, open: bool) {
+        let last = self.last_heard.get_mut(&src).expect("stream data from a channel producer");
+        // Absent when `src` was closed (a dead producer speaking again).
+        self.deadlines.remove(&(*last + self.patience, src));
+        *last = now;
+        self.dead.remove(&src);
+        if open {
+            self.deadlines.insert((now + self.patience, src));
         }
     }
 }
@@ -1070,7 +1014,107 @@ fn mix64(mut x: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::mix64;
+    use super::{mix64, ConsumerCore, Event, ProducerState, StreamMsg};
+    use crate::transport::{SimDuration, SimTime};
+
+    fn data(core: &mut ConsumerCore, src: usize, n: u32) -> Event<u32> {
+        core.on_msg(src, 8 * n as u64, StreamMsg::Data((0..n).collect()), None)
+    }
+
+    fn term(core: &mut ConsumerCore, src: usize, sent: u64) -> Event<u32> {
+        core.on_msg(src, 16, StreamMsg::Term { sent }, None)
+    }
+
+    #[test]
+    fn a_duplicate_term_is_idempotent() {
+        let mut core = ConsumerCore::new(2, None);
+        assert!(matches!(data(&mut core, 4, 5), Event::Data(b) if b.len() == 5));
+        assert!(matches!(term(&mut core, 4, 5), Event::Term));
+        assert!(matches!(term(&mut core, 4, 5), Event::Term), "a resent Term is still a Term");
+        assert_eq!((core.claims.len(), core.claimed()), (1, 5));
+        assert!(!core.all_done(), "one of two producers terminated");
+        term(&mut core, 7, 0);
+        assert!(core.all_done());
+    }
+
+    #[test]
+    fn quarantine_drops_traffic_until_a_fresh_mark() {
+        let mut core = ConsumerCore::new(1, Some(1));
+        core.muted.insert(3, 7);
+        assert!(matches!(data(&mut core, 3, 4), Event::Skip));
+        assert!(matches!(term(&mut core, 3, 4), Event::Skip));
+        assert_eq!((core.cursors.get(&3), core.claims.len()), (None, 0));
+        assert_eq!(core.stats.batches, 0, "quarantined traffic is not accounted");
+        assert!(matches!(core.on_msg::<u32>(3, 9, StreamMsg::Mark(6), None), Event::Skip));
+        assert!(core.muted.contains_key(&3), "a stale Mark leaves the quarantine in place");
+        assert!(matches!(data(&mut core, 3, 2), Event::Skip));
+        assert!(matches!(core.on_msg::<u32>(3, 9, StreamMsg::Mark(7), None), Event::Skip));
+        assert!(core.muted.is_empty(), "a Mark >= the required value lifts it");
+        assert!(matches!(data(&mut core, 3, 2), Event::Data(_)));
+        assert!(matches!(term(&mut core, 3, 2), Event::Term));
+        assert_eq!((core.cursors[&3], core.claimed()), (2, 2));
+    }
+
+    #[test]
+    fn held_credits_are_parked_and_taken_sorted() {
+        let mut core = ConsumerCore::new(3, Some(1));
+        core.gate_credits = true;
+        assert_eq!(core.grant(5, 2), None);
+        assert_eq!(core.grant(2, 3), None);
+        assert_eq!(core.grant(5, 1), None);
+        assert_eq!(core.take_credits(), vec![(2, 3), (5, 3)]);
+        assert_eq!(core.take_credits(), vec![], "taking empties the ledger");
+        core.gate_credits = false;
+        assert_eq!(core.grant(5, 1), Some(1), "batch 1 acknowledges at once");
+    }
+
+    #[test]
+    fn credit_is_acknowledged_at_the_batch_threshold() {
+        let mut core = ConsumerCore::new(1, Some(4));
+        assert_eq!(core.grant(1, 3), None);
+        assert_eq!(core.grant(1, 2), Some(5), "flushes everything owed once >= batch");
+        assert_eq!(core.grant(1, 1), None);
+        assert_eq!(core.take_credits(), vec![(1, 1)]);
+        assert_eq!(ConsumerCore::new(1, None).grant(1, 9), None, "no credits, no ledger");
+    }
+
+    #[test]
+    fn a_term_drops_its_producers_pending_credit() {
+        let mut core = ConsumerCore::new(2, Some(4));
+        assert_eq!(core.grant(1, 3), None);
+        assert_eq!(core.grant(2, 3), None);
+        term(&mut core, 1, 3);
+        assert_eq!(core.take_credits(), vec![(2, 3)]);
+    }
+
+    #[test]
+    fn silence_convicts_at_the_patience_and_speaking_self_heals() {
+        let t = SimDuration::from_millis(1);
+        let ms = |n: u64| SimTime(n * 1_000_000);
+        let mut core = ConsumerCore::new(2, None);
+        assert_eq!(core.next_deadline(), None, "unarmed: blocking receives");
+        // `operate_outcome` arms with twice the failure timeout.
+        core.arm(&[1, 2], ms(0), t + t);
+        assert_eq!(core.next_deadline(), Some(ms(2)));
+        // Producer 1 speaks at 1ms; producer 2 stays silent.
+        core.on_msg(1, 8, StreamMsg::Data(vec![0u32]), Some(ms(1)));
+        core.convict(SimTime(ms(2).0 - 1));
+        assert!(!core.all_done(), "silence shorter than 2t convicts nobody");
+        core.convict(ms(2));
+        assert_eq!(core.report(2).state, ProducerState::Dead);
+        assert_eq!(core.report(1).state, ProducerState::Terminated);
+        assert_eq!(core.next_deadline(), Some(ms(3)), "only producer 1 is still open");
+        // The convicted producer speaks after all: the verdict is lifted
+        // and its deadline restarts from now.
+        core.on_msg(2, 8, StreamMsg::Data(vec![0u32]), Some(ms(4)));
+        assert_eq!(core.report(2).state, ProducerState::Terminated);
+        assert_eq!(core.report(2).delivered, 1);
+        core.on_msg(1, 16, StreamMsg::<u32>::Term { sent: 1 }, Some(ms(4)));
+        assert_eq!(core.next_deadline(), Some(ms(6)), "a terminated producer has no deadline");
+        assert!(!core.all_done());
+        core.on_msg(2, 16, StreamMsg::<u32>::Term { sent: 1 }, Some(ms(5)));
+        assert!(core.all_done());
+    }
 
     #[test]
     fn mix64_spreads_consecutive_keys() {

@@ -22,7 +22,7 @@
 //!   elements (UTF-8 bytes for `String`, validated on decode).
 //! - `Option<T>` is a presence byte (`0`/`1`) followed by the value.
 //! - Tuples and arrays are their fields in order, no framing.
-//! - Structs/enums composed via [`wire_struct!`]/manual impls follow the
+//! - Structs/enums composed via [`wire_struct!`](crate::wire_struct)/manual impls follow the
 //!   same field-in-order rule; enums lead with a `u8` discriminant.
 //!
 //! Decoding is **total**: malformed input — truncated buffers, oversized

@@ -313,3 +313,55 @@ fn producer_killed_before_first_send_reports_zero_delivery() {
     assert_eq!(outcome.producers[1].delivered, 20);
     assert_eq!(outcome.processed, 20);
 }
+
+/// Elements an earlier step took are delivered, not lost: the outcome's
+/// per-producer `delivered` is the endpoint's cursor, while `processed`
+/// counts only what this call handed to its operator.
+#[test]
+fn outcome_counts_elements_taken_before_the_drain_as_delivered() {
+    let outcome_slot = Arc::new(Mutex::new(None));
+    let o = outcome_slot.clone();
+    ideal().run_expect(2, move |rank| {
+        let comm = rank.comm_world();
+        let role = if rank.world_rank() == 0 { Role::Producer } else { Role::Consumer };
+        let ch = StreamChannel::create(
+            rank,
+            &comm,
+            role,
+            ChannelConfig {
+                aggregation: 4,
+                failure_timeout: Some(SimDuration::from_millis(5)),
+                ..ChannelConfig::default()
+            },
+        );
+        let mut stream: Stream<u64> = Stream::attach(ch);
+        match role {
+            Role::Producer => {
+                for i in 0..16u64 {
+                    stream.isend(rank, i);
+                }
+                stream.terminate(rank);
+            }
+            Role::Consumer => {
+                // Poll until the first batch is taken outside the drain.
+                loop {
+                    let (n, consumed) = stream.try_step(rank, |_, _| {});
+                    if consumed {
+                        assert_eq!(n, 4);
+                        break;
+                    }
+                    rank.wait_for_mail();
+                }
+                let outcome = stream.operate_outcome(rank, |_, _| {});
+                *o.lock() = Some(outcome);
+            }
+            Role::Bystander => unreachable!(),
+        }
+    });
+    let outcome = outcome_slot.lock().take().expect("consumer finished");
+    assert_eq!(outcome.processed, 12, "only the drain's own elements reach its operator");
+    let r = outcome.producers[0];
+    assert_eq!((r.delivered, r.claimed), (16, Some(16)));
+    assert_eq!(r.lost(), 0);
+    assert!(outcome.complete());
+}

@@ -4,7 +4,10 @@
 use std::sync::Arc;
 
 use mpisim::{FaultPlan, MachineConfig, SimDuration, World};
-use mpistream::{ChannelConfig, GroupSpec, Role, RoutePolicy, Stream, StreamChannel, StreamStats};
+use mpistream::{
+    ChannelConfig, ConsumerCheckpoint, GroupSpec, Role, RoutePolicy, Stream, StreamChannel,
+    StreamStats,
+};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -230,4 +233,114 @@ proptest! {
             prop_assert_eq!(nc, blocks);
         }
     }
+
+    /// Every drain entry point is a driver over the same consumer core:
+    /// on one randomized producer schedule (producer count, per-producer
+    /// element counts and compute delays, aggregation, credit window and
+    /// batch) each of them processes the same multiset of elements and
+    /// ends in the same `ConsumerCheckpoint`, and `operate_outcome`
+    /// reports a complete outcome whose `delivered` are the cursors.
+    #[test]
+    fn every_drain_driver_agrees_on_one_schedule(
+        producers in 1usize..5,
+        counts in prop::collection::vec(0usize..40, 1..5),
+        delays_us in prop::collection::vec(0u64..30, 1..5),
+        aggregation in 1usize..5,
+        window_raw in 0usize..4,   // 0 = no credits, else aggregation * window_raw
+        batch_raw in 0usize..8,
+        seed in any::<u64>(),
+    ) {
+        let credits = (window_raw > 0).then_some(aggregation * window_raw);
+        let credit_batch = credits.map_or(1, |w| 1 + batch_raw % (w - aggregation + 1));
+        let config = ChannelConfig {
+            element_bytes: 64,
+            aggregation,
+            credits,
+            credit_batch,
+            // Armed but generous: the detector runs, never convicts.
+            failure_timeout: Some(SimDuration::from_secs(1)),
+            ..ChannelConfig::default()
+        };
+        let drains: Vec<_> = (0..5)
+            .map(|driver| drain_with(driver, producers, &counts, &delays_us, config.clone(), seed))
+            .collect();
+        let mut expect: Vec<(usize, u32)> = (0..producers)
+            .flat_map(|p| (0..counts[p % counts.len()] as u32).map(move |i| (p, i)))
+            .collect();
+        expect.sort_unstable();
+        prop_assert_eq!(&drains[0].0, &expect);
+        for (driver, d) in drains.iter().enumerate().skip(1) {
+            prop_assert_eq!(&d.0, &drains[0].0, "driver {} processed a different multiset", driver);
+            prop_assert_eq!(&d.1, &drains[0].1, "driver {} checkpoint differs", driver);
+        }
+    }
+}
+
+/// Run one producer schedule with the consumer (the last rank) draining
+/// through `driver`: 0 `operate`, 1 `operate_outcome`, 2 a `recv_one`
+/// loop, 3 a `try_step` + `wait_for_mail` loop, 4 a `step_deadline`
+/// loop. Returns the sorted processed elements and the final checkpoint.
+fn drain_with(
+    driver: usize,
+    producers: usize,
+    counts: &[usize],
+    delays_us: &[u64],
+    config: ChannelConfig,
+    seed: u64,
+) -> (Vec<(usize, u32)>, ConsumerCheckpoint) {
+    let slot = Arc::new(Mutex::new(None));
+    let out = slot.clone();
+    let (counts, delays_us) = (counts.to_vec(), delays_us.to_vec());
+    World::new(MachineConfig::default()).with_seed(seed).run_expect(producers + 1, move |rank| {
+        let comm = rank.comm_world();
+        let me = rank.world_rank();
+        let role = if me < producers { Role::Producer } else { Role::Consumer };
+        let ch = StreamChannel::create(rank, &comm, role, config.clone());
+        let mut stream: Stream<(usize, u32)> = Stream::attach(ch);
+        if role == Role::Producer {
+            for i in 0..counts[me % counts.len()] as u32 {
+                rank.compute(delays_us[me % delays_us.len()] as f64 * 1e-6);
+                stream.isend(rank, (me, i));
+            }
+            stream.terminate(rank);
+            return;
+        }
+        let mut got = Vec::new();
+        match driver {
+            0 => {
+                stream.operate(rank, |_, e| got.push(e));
+            }
+            1 => {
+                let outcome = stream.operate_outcome(rank, |_, e| got.push(e));
+                assert!(outcome.complete(), "{outcome:?}");
+                assert_eq!(outcome.processed, got.len() as u64);
+                for p in &outcome.producers {
+                    assert_eq!(p.delivered, stream.cursor_of(p.rank));
+                    assert_eq!(p.claimed, stream.claim_of(p.rank));
+                }
+            }
+            2 => {
+                while let Some(e) = stream.recv_one(rank) {
+                    got.push(e);
+                }
+            }
+            3 => {
+                while !stream.all_terminated() {
+                    if !stream.try_step(rank, |_, e| got.push(e)).1 {
+                        rank.wait_for_mail();
+                    }
+                }
+            }
+            _ => {
+                while !stream.all_terminated() {
+                    let deadline = rank.now() + SimDuration::from_micros(7);
+                    stream.step_deadline(rank, deadline, |_, e| got.push(e));
+                }
+            }
+        }
+        got.sort_unstable();
+        *out.lock() = Some((got, stream.consumer_checkpoint()));
+    });
+    let drained = slot.lock().take().expect("consumer finished");
+    drained
 }

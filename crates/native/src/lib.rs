@@ -12,7 +12,7 @@
 //! - **Same programs.** `run_decoupled`, `Stream`, `StreamChannel`,
 //!   `operate2` all work unchanged; the cross-backend equivalence suite
 //!   checks that fault-free payload sets match the simulator exactly.
-//! - **Real concurrency, wall-clock time.** [`Transport::now`] is
+//! - **Real concurrency, wall-clock time.** [`Transport::now`](mpistream::Transport::now) is
 //!   nanoseconds since [`NativeWorld::run`] began; deadline receives park
 //!   on a condvar with a wall-clock timeout. `compute(secs)` sleeps
 //!   `secs × compute_scale` — it models occupancy, it does not simulate a

@@ -1,4 +1,4 @@
-//! Multi-process [`Transport`] backend: every rank a separate OS
+//! Multi-process [`Transport`](mpistream::Transport) backend: every rank a separate OS
 //! process, linked by framed Unix-domain sockets.
 //!
 //! The paper's decoupling strategy assumes compute and data-movement

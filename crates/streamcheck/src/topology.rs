@@ -46,12 +46,13 @@ pub enum Routing {
 /// does to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Drain {
-    /// `operate` / `recv_one`: blocks until a `Term` arrives from every
-    /// producer. A producer that never terminates hangs the consumer.
+    /// `operate` / `recv_one` (and loops over `try_step` or
+    /// `step_deadline`): runs until a `Term` arrives from every producer.
+    /// A producer that never terminates hangs the consumer.
     Operate,
-    /// `operate_outcome`: bounded waits when the channel has a
-    /// `failure_timeout`; a silent producer is declared dead instead of
-    /// hanging the drain.
+    /// `operate_outcome`: the only drain that arms the failure detector,
+    /// so waits are bounded when the channel has a `failure_timeout`; a
+    /// silent producer is declared dead instead of hanging the drain.
     OperateOutcome,
 }
 

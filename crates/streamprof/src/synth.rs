@@ -1,5 +1,5 @@
 //! Synthetic traces generated *from* the performance model, with known
-//! parameters — the ground truth the [`crate::fit`] estimators are
+//! parameters — the ground truth the [`crate::fit`](mod@crate::fit) estimators are
 //! validated against.
 
 use desim::SimTime;
